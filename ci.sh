@@ -25,10 +25,10 @@
 #   --skip-serve  run everything except the serve smoke (train a quick
 #                 artifact, pipe an NDJSON batch through `m3d-serve run`,
 #                 and gate the server's own telemetry with m3d-obsctl)
-#   --skip-paper  run everything except the paper-scale gate (a ~2 min
-#                 netcard run at >=100k gates driving both back-trace
-#                 paths; asserts bit-identity and holds the sharded path
-#                 to >=2x over the monolithic baseline via
+#   --skip-paper  run everything except the paper-scale gate (a netcard
+#                 run at >=100k gates driving the reference and the bitmap
+#                 back-trace over the same logs; asserts bit-identity and
+#                 holds the bitmap path to >=2x over the reference via
 #                 `m3d-obsctl speedup` on BENCH_paper.json)
 set -eu
 
@@ -280,13 +280,12 @@ if [ "$SKIP_PAPER" = 1 ]; then
     echo "ci.sh: paper-scale gate skipped (--skip-paper)"
 else
     echo "== paper-scale gate (>=100k-gate back-trace probe) =="
-    # The quick gate above can never see paper-scale behavior: the sharded
-    # back-trace only engages past SHARD_AUTO_NODES. One netcard run at
-    # the paper-smoke scale (~110k gates) drives both back-trace paths
-    # over the same failure logs — bit-identity is asserted inside the
-    # probe — and the sharded path must hold its >=2x win over the
-    # monolithic baseline, tracked in BENCH_paper.json alongside the
-    # quick snapshot.
+    # The quick gate above never sees paper-scale cones. One netcard run
+    # at the paper-smoke scale (~110k gates) drives the reference
+    # back-trace (a graph walk per entry and observer) and the bitmap
+    # back-trace over the same failure logs — bit-identity is asserted
+    # inside the probe — and the bitmap path must hold its >=2x win,
+    # tracked in BENCH_paper.json alongside the quick snapshot.
     PAPER_DIR=target/perf-paper
     mkdir -p "$PAPER_DIR"
     paper_report="$PAPER_DIR/paper-run1.ndjson"
@@ -302,7 +301,7 @@ else
     ./target/release/m3d-obsctl bench "$paper_report" \
         --scale paper-smoke -o BENCH_paper.json
     ./target/release/m3d-obsctl speedup BENCH_paper.json \
-        paper.backtrace.mono paper.backtrace.sharded --min 2.0
+        paper.backtrace.reference paper.backtrace --min 2.0
 
     PAPER_BASELINE=benchmarks/BENCH_paper.json
     if [ ! -f "$PAPER_BASELINE" ]; then

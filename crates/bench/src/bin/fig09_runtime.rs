@@ -3,9 +3,10 @@
 //!
 //! At paper-class scales (`--scale paper-smoke` / `--scale paper`) the
 //! full training loop is replaced by the paper-scale back-trace probe:
-//! both back-trace paths over real ≥100k-gate failure logs, checked
-//! bit-identical, with `paper.backtrace.{mono,sharded}` spans feeding the
-//! `BENCH_paper.json` perf snapshot and its speedup gate in `ci.sh`.
+//! the reference and the bitmap back-trace over real ≥100k-gate failure
+//! logs, checked bit-identical, with `paper.backtrace.reference` /
+//! `paper.backtrace` spans feeding the `BENCH_paper.json` perf snapshot
+//! and its speedup gate in `ci.sh`.
 fn main() {
     let scale = m3d_bench::Scale::from_args();
     let profiles = m3d_bench::profiles_from_args();
@@ -15,12 +16,12 @@ fn main() {
         m3d_obs::out!("== Fig. 9 (paper-scale): back-trace wall-clock ==");
         for r in &rows {
             m3d_obs::out!(
-                "{:<10} mono {:.2}s vs sharded {:.2}s over {} logs ({} partitions) = {:.2}x",
+                "{:<10} reference {:.2}s vs bitmap {:.3}s over {} logs ({} observers) = {:.1}x",
                 r.design,
-                r.t_mono,
-                r.t_sharded,
+                r.t_reference,
+                r.t_bitmap,
                 r.logs,
-                r.partitions,
+                r.observers,
                 r.speedup(),
             );
         }

@@ -10,10 +10,10 @@ use crate::scale::Scale;
 use m3d_diagnosis::{report_quality, AtpgDiagnosis, DiagnosisConfig, ReportQuality};
 use m3d_exec::ExecPool;
 use m3d_fault_loc::{
-    backtrace, backtrace_sharded, generate_samples, pfa_time_saved, single_tier_of,
-    tier_training_set, BacktraceConfig, ConeMemo, DatasetConfig, DesignConfig, DesignContext,
-    FrameworkConfig, InjectedFault, MivPinpointer, ModelTrainConfig, PipelineBuilder, Subgraph,
-    TierLocalization, TierPredictor, TrainingSet,
+    generate_samples, pfa_time_saved, reference_backtrace, single_tier_of, tier_training_set,
+    BacktraceConfig, DatasetConfig, DesignConfig, DesignContext, FrameworkConfig, InjectedFault,
+    MivPinpointer, ModelTrainConfig, PipelineBuilder, Subgraph, TierLocalization, TierPredictor,
+    TrainingSet,
 };
 use m3d_gnn::{permutation_significance, Matrix, Pca};
 use m3d_netlist::BenchmarkProfile;
@@ -515,36 +515,35 @@ pub struct BacktraceProbeRow {
     pub gates: usize,
     /// Heterogeneous-graph node count (pins + MIVs).
     pub nodes: usize,
-    /// Level bands in the cone index.
-    pub partitions: usize,
+    /// Observation points (Topnodes, one cone row each).
+    pub observers: usize,
     /// Failure logs back-traced per path.
     pub logs: usize,
-    /// Monolithic (memoized) back-trace seconds — the pre-sharding
-    /// baseline path.
-    pub t_mono: f64,
-    /// Partition-sharded back-trace seconds.
-    pub t_sharded: f64,
+    /// Reference (graph-walking) back-trace seconds.
+    pub t_reference: f64,
+    /// Bitmap back-trace seconds.
+    pub t_bitmap: f64,
 }
 
 impl BacktraceProbeRow {
-    /// Monolithic-over-sharded wall-clock ratio.
+    /// Reference-over-bitmap wall-clock ratio.
     pub fn speedup(&self) -> f64 {
-        if self.t_sharded > 0.0 {
-            self.t_mono / self.t_sharded
+        if self.t_bitmap > 0.0 {
+            self.t_reference / self.t_bitmap
         } else {
             f64::INFINITY
         }
     }
 }
 
-/// The `BENCH_paper` workload: Table III-scale designs pushed through both
-/// back-trace paths over the same failure logs.
+/// The `BENCH_paper` workload: Table III-scale designs pushed through the
+/// reference and the bitmap back-trace over the same failure logs.
 ///
-/// Emits `paper.backtrace.mono` and `paper.backtrace.sharded` spans so the
+/// Emits `paper.backtrace.reference` and `paper.backtrace` spans so the
 /// perf snapshot (and the `m3d-obsctl speedup` gate in `ci.sh`) can hold
-/// the partitioned path to its advertised win, and panics if the two paths
-/// ever disagree — the bit-identity contract, enforced at ≥100k-gate scale
-/// on every CI run rather than only on the quick fixtures.
+/// the bitmap path to its advertised win, and panics if the two ever
+/// disagree — the bit-identity contract, enforced at ≥100k-gate scale on
+/// every CI run rather than only on the quick fixtures.
 pub fn paper_backtrace_probe(
     scale: &Scale,
     profiles: &[BenchmarkProfile],
@@ -558,14 +557,13 @@ pub fn paper_backtrace_probe(
         "design",
         "gates",
         "nodes",
-        "parts",
+        "obs",
         "logs",
-        "mono",
-        "sharded",
+        "reference",
+        "bitmap",
         "speedup"
     );
     let cfg = ExperimentConfig::new(scale.clone(), false);
-    let pool = ExecPool::from_env();
     let bt = BacktraceConfig::default();
     let mut rows = Vec::new();
     for &profile in profiles {
@@ -577,15 +575,8 @@ pub fn paper_backtrace_probe(
             let _span = m3d_obs::span!("paper.context.build");
             DesignContext::new(&bench)
         };
-        let index = ctx.cone_index.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: paper-scale designs must auto-build a ConeIndex ({} nodes)",
-                bench.name,
-                ctx.hetero.node_count()
-            )
-        });
         // Logs from detected TDFs spread across the design; alternate
-        // bypass and compacted so the shards also chew the multi-observer
+        // bypass and compacted so both paths also chew the multi-observer
         // ambiguity sets of channel entries.
         let faults = tdf_list(bench.netlist());
         let stride = (faults.len() / 97).max(1);
@@ -606,13 +597,12 @@ pub fn paper_backtrace_probe(
             "{}: no detected fault produced a failure log",
             bench.name
         );
-        let memo = ConeMemo::new();
         let t0 = Instant::now();
-        let mono: Vec<Subgraph> = {
-            let _span = m3d_obs::span!("paper.backtrace.mono");
+        let reference: Vec<Subgraph> = {
+            let _span = m3d_obs::span!("paper.backtrace.reference");
             logs.iter()
                 .map(|(log, compacted)| {
-                    backtrace(
+                    reference_backtrace(
                         &ctx.hetero,
                         &ctx.features,
                         ctx.fsim.sim(),
@@ -620,60 +610,47 @@ pub fn paper_backtrace_probe(
                         compacted.then(|| ctx.chains()),
                         log,
                         &bt,
-                        Some(&memo),
                     )
                 })
                 .collect()
         };
-        let t_mono = t0.elapsed().as_secs_f64();
+        let t_reference = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let sharded: Vec<Subgraph> = {
-            let _span = m3d_obs::span!("paper.backtrace.sharded");
+        let bitmap: Vec<Subgraph> = {
+            let _span = m3d_obs::span!("paper.backtrace");
             logs.iter()
-                .map(|(log, compacted)| {
-                    backtrace_sharded(
-                        &ctx.hetero,
-                        &ctx.features,
-                        ctx.fsim.sim(),
-                        ctx.fsim.obs(),
-                        compacted.then(|| ctx.chains()),
-                        log,
-                        &bt,
-                        index,
-                        &pool,
-                    )
-                })
+                .map(|(log, compacted)| ctx.backtrace(log, *compacted, &bt))
                 .collect()
         };
-        let t_sharded = t1.elapsed().as_secs_f64();
-        for (i, (m, s)) in mono.iter().zip(&sharded).enumerate() {
-            assert_eq!(s.nodes, m.nodes, "{}: log {i} pruned node set", bench.name);
+        let t_bitmap = t1.elapsed().as_secs_f64();
+        for (i, (r, b)) in reference.iter().zip(&bitmap).enumerate() {
+            assert_eq!(b.nodes, r.nodes, "{}: log {i} pruned node set", bench.name);
             assert_eq!(
-                s.x.as_slice(),
-                m.x.as_slice(),
+                b.x.as_slice(),
+                r.x.as_slice(),
                 "{}: log {i} features",
                 bench.name
             );
-            assert_eq!(s.miv_rows, m.miv_rows, "{}: log {i} MIV rows", bench.name);
+            assert_eq!(b.miv_rows, r.miv_rows, "{}: log {i} MIV rows", bench.name);
         }
         let row = BacktraceProbeRow {
             design: profile.name().to_string(),
             gates: bench.netlist().stats().gates,
             nodes: ctx.hetero.node_count(),
-            partitions: index.n_partitions(),
+            observers: ctx.fsim.obs().len(),
             logs: logs.len(),
-            t_mono,
-            t_sharded,
+            t_reference,
+            t_bitmap,
         };
         m3d_obs::out!(
-            "{:<10} {:>9} {:>9} {:>6} {:>5} {:>8.2}s {:>8.2}s {:>7.2}x",
+            "{:<10} {:>9} {:>9} {:>6} {:>5} {:>8.2}s {:>8.3}s {:>7.1}x",
             row.design,
             row.gates,
             row.nodes,
-            row.partitions,
+            row.observers,
             row.logs,
-            row.t_mono,
-            row.t_sharded,
+            row.t_reference,
+            row.t_bitmap,
             row.speedup()
         );
         rows.push(row);

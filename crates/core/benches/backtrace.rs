@@ -1,11 +1,10 @@
-//! Microbench for the back-tracing hot path: a cold cone walk against a
-//! warm [`ConeMemo`] hit on the same failure logs, quantifying the
-//! `backtrace.nodes_visited` → `backtrace.cone_cache_hits` shift the
-//! per-design memo buys during dataset generation.
+//! Microbench for the back-tracing hot path: [`DesignContext::backtrace`]
+//! over bypass logs (one cone row per entry) and compacted logs (the cone
+//! rows of a channel's whole ambiguity set ORed per entry).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use m3d_fault_loc::{
-    backtrace, BacktraceConfig, ConeMemo, DatasetConfig, DesignConfig, DesignContext, TestBench,
+    generate_samples, BacktraceConfig, DatasetConfig, DesignConfig, DesignContext, TestBench,
     TestBenchConfig,
 };
 use m3d_netlist::BenchmarkProfile;
@@ -16,61 +15,27 @@ fn bench_backtrace(c: &mut Criterion) {
         DesignConfig::Syn1,
     ));
     let ctx = DesignContext::new(&tb);
-    let samples = m3d_fault_loc::generate_samples(&ctx, &DatasetConfig::single(8, 5));
-    assert!(!samples.is_empty());
     let cfg = BacktraceConfig::default();
     let mut group = c.benchmark_group("backtrace");
     group.sample_size(20);
-    group.bench_function("cold", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let s = &samples[i % samples.len()];
-            i += 1;
-            backtrace(
-                &ctx.hetero,
-                &ctx.features,
-                ctx.fsim.sim(),
-                ctx.fsim.obs(),
-                None,
-                &s.log,
-                &cfg,
-                None,
-            )
-            .len()
-        })
-    });
-    group.bench_function("memo_hit", |b| {
-        // Warm the memo once, then every iteration is served from it.
-        let memo = ConeMemo::new();
-        for s in &samples {
-            backtrace(
-                &ctx.hetero,
-                &ctx.features,
-                ctx.fsim.sim(),
-                ctx.fsim.obs(),
-                None,
-                &s.log,
-                &cfg,
-                Some(&memo),
-            );
-        }
-        let mut i = 0usize;
-        b.iter(|| {
-            let s = &samples[i % samples.len()];
-            i += 1;
-            backtrace(
-                &ctx.hetero,
-                &ctx.features,
-                ctx.fsim.sim(),
-                ctx.fsim.obs(),
-                None,
-                &s.log,
-                &cfg,
-                Some(black_box(&memo)),
-            )
-            .len()
-        })
-    });
+    for (name, compacted) in [("bypass", false), ("compacted", true)] {
+        let samples = generate_samples(
+            &ctx,
+            &DatasetConfig {
+                compacted,
+                ..DatasetConfig::single(8, 5)
+            },
+        );
+        assert!(!samples.is_empty());
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                let s = &samples[i % samples.len()];
+                i += 1;
+                ctx.backtrace(black_box(&s.log), compacted, &cfg).len()
+            })
+        });
+    }
     group.finish();
 }
 

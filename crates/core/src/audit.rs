@@ -87,11 +87,8 @@ impl DiagnosisAudit {
             self.subgraph_nodes, self.subgraph_mivs
         ));
         out.push_str(&format!(
-            ",\"bt_nodes_visited\":{},\"bt_activity_checks\":{},\"bt_cone_cache_hits\":{},\"bt_dropped_patterns\":{}",
-            self.backtrace.nodes_visited,
-            self.backtrace.activity_checks,
-            self.backtrace.cone_cache_hits,
-            self.backtrace.dropped_patterns
+            ",\"bt_activity_checks\":{},\"bt_dropped_patterns\":{}",
+            self.backtrace.activity_checks, self.backtrace.dropped_patterns
         ));
         out.push_str(&format!(",\"features_finite\":{}", self.features_finite));
         out.push_str(",\"feature_mean\":");
@@ -143,9 +140,7 @@ mod tests {
             subgraph_nodes: 40,
             subgraph_mivs: 3,
             backtrace: BacktraceStats {
-                nodes_visited: 100,
                 activity_checks: 50,
-                cone_cache_hits: 25,
                 dropped_patterns: 0,
             },
             features_finite: true,

@@ -12,18 +12,23 @@
 //! response support per node and keeps nodes supported by at least
 //! `keep_frac` of the maximum support — `keep_frac = 1.0` is exactly the
 //! paper's intersection for single faults.
+//!
+//! Cones and transition activity are both node bitmaps (the cone rows of
+//! [`HeteroGraph`] and the per-pattern rows of [`PatternActivity`]), so
+//! one entry costs an OR over its observers' rows, an AND with its
+//! pattern's row, and one support increment per surviving node.
+//! [`reference_backtrace`] is the plain graph-walking definition the
+//! bitmap path is tested against.
 
 use crate::features::{
     local_degree_feature, FeatureExtractor, F_FANIN_SUB, F_FANOUT_SUB, N_FEATURES,
 };
 use crate::hetero::{HNodeId, HNodeKind, HeteroGraph};
-use m3d_exec::ExecPool;
 use m3d_gnn::{Graph, Matrix, NormAdj};
-use m3d_netlist::{topo, NetId, Netlist, ScanChains};
+use m3d_netlist::{PinRef, ScanChains};
 use m3d_part::MivId;
 use m3d_sim::{FailureLog, ObsId, ObsPoints, PatternSim};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Back-tracing configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,173 +49,50 @@ impl Default for BacktraceConfig {
     }
 }
 
-/// Default byte budget for [`ConeMemo`] cached node lists (~64 MiB).
-const CONE_MEMO_DEFAULT_CAP: usize = 64 << 20;
-
-/// Bookkeeping bytes charged against the cap per memo entry on top of its
-/// payload: the `Arc` heap header (two reference counts), allocator
-/// rounding, and the hash-map slot (key, fat value pointer, control byte,
-/// load-factor slack). Charged identically at both levels so
-/// [`ConeMemo::bytes`] brackets true peak memory from above instead of
-/// undercounting small entries.
-const MEMO_ENTRY_OVERHEAD: usize = 112;
-
-/// Two-level fan-in-cone memoization for [`backtrace`].
-///
-/// - **Per observation point** (level 1): the cone walk resolved to a
-///   packed `(node, net)` list — the cone is static topology, so it is
-///   walked through the heterogeneous graph exactly once per design and
-///   every later pattern screens the packed list instead.
-/// - **Per `(observation point, pattern)`** (level 2): the
-///   transition-active subset of that cone, a pure function of the pair
-///   (activity depends only on the simulated pattern). Diagnosis revisits
-///   the same pairs across the entries of one failure log and across every
-///   sample generated on the same bench; a hit skips even the screening
-///   pass.
-///
-/// Entries never go stale: a memo is tied to one
-/// (`HeteroGraph`, `PatternSim`) pair by construction, both of which are
-/// immutable once built. A shared byte cap bounds peak memory, with the
-/// payload of every cached list *plus* per-entry map/`Arc` bookkeeping
-/// charged against it: level-1 cones stop being admitted at the cap (they
-/// amortize the cone walk itself and are never dropped), while level-2
-/// active sets evict oldest-first to make room, so the cap stays a hard
-/// ceiling rather than a soft target. Memoization cannot change any
-/// result — only the split between the `backtrace.nodes_visited`,
-/// `backtrace.activity_checks`, and `backtrace.cone_cache_hits` counters.
-#[derive(Debug)]
-pub struct ConeMemo {
-    inner: Mutex<ConeMemoInner>,
-    cap_bytes: usize,
+/// Transition activity as one node bitmap per simulated pattern slot:
+/// bit `n` of row `p` is set iff node `n`'s net switches between V1 and
+/// V2 under pattern `p` — the only nodes that can launch a delay fault
+/// that pattern detects. Rows span [`PatternSim::pattern_capacity`]
+/// slots, so the padding slots of the last pattern word screen exactly
+/// as [`PatternSim::net_transition`] does.
+#[derive(Debug, Clone)]
+pub struct PatternActivity {
+    words: usize,
+    slots: usize,
+    rows: Vec<u64>,
 }
 
-#[derive(Debug, Default)]
-struct ConeMemoInner {
-    /// Level 1: observation point → net-resolved cone.
-    resolved: HashMap<u32, Arc<[(HNodeId, NetId)]>>,
-    /// Level 2: `(observation point, pattern)` → active cone subset.
-    active: HashMap<u64, Arc<[HNodeId]>>,
-    /// Level-2 keys in insertion order (the eviction queue).
-    active_order: VecDeque<u64>,
-    bytes: usize,
-    evictions: u64,
-}
-
-impl Default for ConeMemo {
-    fn default() -> Self {
-        ConeMemo::with_capacity_bytes(CONE_MEMO_DEFAULT_CAP)
-    }
-}
-
-impl ConeMemo {
-    /// A memo with the default ~64 MiB budget.
-    pub fn new() -> Self {
-        ConeMemo::default()
-    }
-
-    /// A memo that stops admitting new cones past `cap_bytes` of cached
-    /// node lists.
-    pub fn with_capacity_bytes(cap_bytes: usize) -> Self {
-        ConeMemo {
-            inner: Mutex::new(ConeMemoInner::default()),
-            cap_bytes,
-        }
-    }
-
-    fn key(obs: ObsId, pattern: u32) -> u64 {
-        (u64::from(obs.0) << 32) | u64::from(pattern)
-    }
-
-    /// Cap charge of a level-1 entry holding `len` `(node, net)` pairs.
-    fn resolved_cost(len: usize) -> usize {
-        std::mem::size_of::<(HNodeId, NetId)>() * len + MEMO_ENTRY_OVERHEAD
-    }
-
-    /// Cap charge of a level-2 entry holding `len` node ids.
-    fn active_cost(len: usize) -> usize {
-        std::mem::size_of::<HNodeId>() * len + MEMO_ENTRY_OVERHEAD
-    }
-
-    fn resolved(&self, obs: ObsId) -> Option<Arc<[(HNodeId, NetId)]>> {
-        let inner = self.inner.lock().expect("cone memo poisoned");
-        inner.resolved.get(&obs.0).cloned()
-    }
-
-    /// Stores the net-resolved cone of `obs` (or drops it at the byte cap)
-    /// and hands back a shareable copy either way, so the caller screens
-    /// the list it just built without a second lookup.
-    fn insert_resolved(&self, obs: ObsId, cone: Vec<(HNodeId, NetId)>) -> Arc<[(HNodeId, NetId)]> {
-        let cone: Arc<[(HNodeId, NetId)]> = Arc::from(cone);
-        let mut guard = self.inner.lock().expect("cone memo poisoned");
-        let inner = &mut *guard;
-        let cost = ConeMemo::resolved_cost(cone.len());
-        if inner.bytes + cost <= self.cap_bytes {
-            if let std::collections::hash_map::Entry::Vacant(slot) = inner.resolved.entry(obs.0) {
-                slot.insert(Arc::clone(&cone));
-                inner.bytes += cost;
+impl PatternActivity {
+    /// Marks every node of `hetero` under every pattern slot of `sim`.
+    pub fn build(hetero: &HeteroGraph, sim: &PatternSim) -> Self {
+        let words = hetero.row_words();
+        let slots = sim.pattern_capacity();
+        let mut rows = vec![0u64; slots * words];
+        for w in 0..sim.word_count() {
+            for i in 0..hetero.node_count() {
+                let Some(net) = hetero.net_of(HNodeId(i as u32)) else {
+                    continue;
+                };
+                let mut t = sim.transitions(w, net);
+                while t != 0 {
+                    let p = w * 64 + t.trailing_zeros() as usize;
+                    rows[p * words + i / 64] |= 1 << (i % 64);
+                    t &= t - 1;
+                }
             }
         }
-        cone
+        PatternActivity { words, slots, rows }
     }
 
-    fn get(&self, obs: ObsId, pattern: u32) -> Option<Arc<[HNodeId]>> {
-        let inner = self.inner.lock().expect("cone memo poisoned");
-        inner.active.get(&ConeMemo::key(obs, pattern)).cloned()
+    /// Number of pattern slots (the simulator's pattern capacity).
+    pub fn slots(&self) -> usize {
+        self.slots
     }
 
-    fn insert(&self, obs: ObsId, pattern: u32, nodes: Vec<HNodeId>) {
-        let mut guard = self.inner.lock().expect("cone memo poisoned");
-        let inner = &mut *guard;
-        let cost = ConeMemo::active_cost(nodes.len());
-        if cost > self.cap_bytes {
-            return;
-        }
-        let key = ConeMemo::key(obs, pattern);
-        if inner.active.contains_key(&key) {
-            return;
-        }
-        // Evict oldest active sets until the newcomer fits; resolved cones
-        // (level 1) stay put, so eviction may still come up short when
-        // level-1 residency alone fills the budget.
-        let mut evicted = 0u64;
-        while inner.bytes + cost > self.cap_bytes {
-            let Some(old) = inner.active_order.pop_front() else {
-                break;
-            };
-            if let Some(list) = inner.active.remove(&old) {
-                inner.bytes -= ConeMemo::active_cost(list.len());
-                evicted += 1;
-            }
-        }
-        inner.evictions += evicted;
-        if inner.bytes + cost > self.cap_bytes {
-            return;
-        }
-        inner.active.insert(key, Arc::from(nodes));
-        inner.active_order.push_back(key);
-        inner.bytes += cost;
-    }
-
-    /// Number of memoized active-cone entries (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cone memo poisoned").active.len()
-    }
-
-    /// Bytes of cached lists currently held, both levels
-    /// (diagnostics/tests).
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().expect("cone memo poisoned").bytes
-    }
-
-    /// `true` when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of active-cone entries evicted to stay under the byte cap
-    /// (diagnostics/tests).
-    pub fn evictions(&self) -> u64 {
-        self.inner.lock().expect("cone memo poisoned").evictions
+    /// The active-node row of `pattern`, or `None` past the simulated
+    /// slots (a pattern number from a corrupt log).
+    pub fn row(&self, pattern: usize) -> Option<&[u64]> {
+        (pattern < self.slots).then(|| &self.rows[pattern * self.words..(pattern + 1) * self.words])
     }
 }
 
@@ -220,12 +102,9 @@ impl ConeMemo {
 /// run-wide).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BacktraceStats {
-    /// Cone nodes walked while resolving observation-point cones.
-    pub nodes_visited: u64,
-    /// Per-pattern transition-activity screens over memoized cones.
+    /// Cone members screened for transition activity: the summed cone
+    /// sizes of every candidate observer of every in-range entry.
     pub activity_checks: u64,
-    /// Cone steps avoided by active-set memo hits.
-    pub cone_cache_hits: u64,
     /// Failure entries dropped for out-of-range pattern numbers.
     pub dropped_patterns: u64,
 }
@@ -267,101 +146,59 @@ impl Subgraph {
 }
 
 /// Runs back-tracing on a failure log. Pass `chains` iff the log was
-/// captured through the response compactor, and `memo` to reuse
-/// per-`(observation point, pattern)` active cones across calls (see
-/// [`ConeMemo`]; `None` recomputes every cone).
-#[allow(clippy::too_many_arguments)] // mirrors the pipeline's data-flow stages 1:1
+/// captured through the response compactor; `activity` must be built
+/// from the same graph and the simulation the log's patterns index.
 pub fn backtrace(
     hetero: &HeteroGraph,
     features: &FeatureExtractor,
-    sim: &PatternSim,
+    activity: &PatternActivity,
     obs: &ObsPoints,
     chains: Option<&ScanChains>,
     log: &FailureLog,
     cfg: &BacktraceConfig,
-    memo: Option<&ConeMemo>,
 ) -> Subgraph {
     let _span = m3d_obs::span!("backtrace");
-    let mut support: HashMap<HNodeId, u32> = HashMap::new();
-    let entries = log.entries();
-    // Accumulated locally and flushed once: the registry lock is cheap
-    // but not per-cone-edge cheap. `nodes_visited` counts walks of the
-    // heterogeneous graph's cone structure (once per observation point
-    // when a memo is supplied); `activity_checks` counts per-pattern
-    // screening passes over a memoized net-resolved cone; and
-    // `cone_cache_hits` counts the cone steps an active-set hit avoided
-    // outright.
-    let mut nodes_visited = 0u64;
-    let mut activity_checks = 0u64;
-    let mut cone_cache_hits = 0u64;
-    let mut dropped_patterns = 0u64;
-    let pattern_cap = sim.pattern_capacity();
-    for entry in entries {
+    let mut support = vec![0u32; hetero.node_count()];
+    let mut union = vec![0u64; hetero.row_words()];
+    let mut stats = BacktraceStats::default();
+    for entry in log.entries() {
         // Tester logs are untrusted input: a pattern number beyond the
         // simulated range cannot be screened for transition activity, so
-        // the entry is dropped (counted below) instead of indexing out of
-        // bounds.
-        if entry.pattern as usize >= pattern_cap {
-            dropped_patterns += 1;
+        // the entry is dropped (counted below).
+        let Some(active) = activity.row(entry.pattern as usize) else {
+            stats.dropped_patterns += 1;
             continue;
-        }
-        let mut seen: HashMap<HNodeId, ()> = HashMap::new();
-        for obs_id in FailureLog::candidate_observers(entry, obs, chains) {
-            if let Some(active) = memo.and_then(|m| m.get(obs_id, entry.pattern)) {
-                cone_cache_hits += hetero.topnode(obs_id).cone.len() as u64;
-                for &node in active.iter() {
-                    seen.insert(node, ());
-                }
-                continue;
-            }
-            if let Some(m) = memo {
-                let resolved = m.resolved(obs_id).unwrap_or_else(|| {
-                    let cone = &hetero.topnode(obs_id).cone;
-                    nodes_visited += cone.len() as u64;
-                    // Nodes without a net can never be transition-active;
-                    // the packed list drops them once and for all.
-                    let list: Vec<(HNodeId, NetId)> = cone
-                        .iter()
-                        .filter_map(|e| hetero.net_of(e.node).map(|net| (e.node, net)))
-                        .collect();
-                    m.insert_resolved(obs_id, list)
-                });
-                activity_checks += resolved.len() as u64;
-                let mut active_nodes: Vec<HNodeId> = Vec::new();
-                for &(node, net) in resolved.iter() {
-                    // Only transition-active nodes can launch a delay fault.
-                    if sim.net_transition(net, entry.pattern as usize) {
-                        seen.insert(node, ());
-                        active_nodes.push(node);
-                    }
-                }
-                // `seen` is a set, so order and duplicates in the cached
-                // list cannot affect results; dedup to shrink the entry
-                // (the cone is sorted by node id, so this is one cheap
-                // pass).
-                active_nodes.sort_unstable();
-                active_nodes.dedup();
-                m.insert(obs_id, entry.pattern, active_nodes);
-            } else {
-                for edge in &hetero.topnode(obs_id).cone {
-                    nodes_visited += 1;
-                    // Only transition-active nodes can launch a delay fault.
-                    let active = hetero
-                        .net_of(edge.node)
-                        .is_some_and(|net| sim.net_transition(net, entry.pattern as usize));
-                    if active {
-                        seen.insert(edge.node, ());
-                    }
-                }
+        };
+        let observers = FailureLog::candidate_observers(entry, obs, chains);
+        let Some((&first, rest)) = observers.split_first() else {
+            continue;
+        };
+        union.copy_from_slice(hetero.cone(first));
+        for &o in rest {
+            for (u, &c) in union.iter_mut().zip(hetero.cone(o)) {
+                *u |= c;
             }
         }
-        for (node, ()) in seen {
-            *support.entry(node).or_insert(0) += 1;
+        stats.activity_checks += observers.iter().map(|&o| hetero.cone_size(o)).sum::<u64>();
+        for (w, (&u, &a)) in union.iter().zip(active).enumerate() {
+            let mut bits = u & a;
+            while bits != 0 {
+                support[w * 64 + bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
         }
     }
-    m3d_obs::counter!("backtrace.nodes_visited", nodes_visited);
-    m3d_obs::counter!("backtrace.activity_checks", activity_checks);
-    m3d_obs::counter!("backtrace.cone_cache_hits", cone_cache_hits);
+    m3d_obs::counter!("backtrace.activity_checks", stats.activity_checks);
+    report_dropped(stats.dropped_patterns, activity.slots());
+    let supported = support
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, c)| c > 0)
+        .map(|(i, c)| (HNodeId(i as u32), c));
+    select(hetero, features, supported, cfg, stats)
+}
+
+fn report_dropped(dropped_patterns: u64, pattern_cap: usize) {
     if dropped_patterns > 0 {
         m3d_obs::counter!("backtrace.dropped.pattern_out_of_range", dropped_patterns);
         m3d_obs::warn!(
@@ -369,286 +206,19 @@ pub fn backtrace(
              beyond the {pattern_cap} simulated slots (corrupt log?)"
         );
     }
-    let stats = BacktraceStats {
-        nodes_visited,
-        activity_checks,
-        cone_cache_hits,
-        dropped_patterns,
-    };
-    let max_support = support.values().copied().max().unwrap_or(0);
-    if max_support == 0 {
-        let mut sub = empty_subgraph();
-        sub.stats = stats;
-        return sub;
-    }
-    let floor = ((f64::from(max_support)) * cfg.keep_frac).ceil().max(1.0) as u32;
-    let mut picked: Vec<(HNodeId, u32)> =
-        support.into_iter().filter(|&(_, c)| c >= floor).collect();
-    // Cap deterministically: strongest support first, then node order.
-    picked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    picked.truncate(cfg.max_nodes);
-    let mut nodes: Vec<HNodeId> = picked.into_iter().map(|(n, _)| n).collect();
-    nodes.sort_unstable();
-    let mut sub = build_subgraph(hetero, features, nodes);
-    sub.stats = stats;
-    sub
 }
 
-/// A levelized partition of the heterogeneous graph with per-partition
-/// packed cone slices — the paper-scale backbone of
-/// [`backtrace_sharded`].
-///
-/// Partitioning folds contiguous combinational levels into `n_partitions`
-/// bands of roughly equal node count (the level-driven idiom of
-/// `m3d-part`), so every node lands in exactly one band and a band's
-/// nodes are contiguous in topological depth. For each
-/// `(partition, observation point)` cell the index stores the
-/// net-bearing cone members as packed `(local rank, net)` pairs — the
-/// same pre-filtering [`ConeMemo`] applies, resolved once per design —
-/// letting a shard screen transition activity straight into dense
-/// per-partition arrays with no hashing in the hot loop.
-///
-/// The index is pure topology: building it from the same graph always
-/// yields the same partition, and [`backtrace_sharded`] over any
-/// partition count is bit-identical to [`backtrace`].
-#[derive(Debug)]
-pub struct ConeIndex {
-    /// Partition → its nodes' global ids, ascending (position = local
-    /// rank).
-    part_nodes: Vec<Vec<HNodeId>>,
-    /// `(partition * n_obs + obs)` → start of that cell in `entries`.
-    offsets: Vec<usize>,
-    /// Packed cone membership: `(local rank, net)` per net-bearing cone
-    /// node, grouped by partition then observation point.
-    entries: Vec<(u32, NetId)>,
-    n_obs: usize,
-}
-
-impl ConeIndex {
-    /// Builds the index for `hetero` (whose Topnodes define the cones)
-    /// over the gate levels of `nl`, folded into `n_partitions` bands.
-    /// Fewer than `n_partitions` distinct levels yield fewer bands;
-    /// `n_partitions == 0` is treated as 1.
-    pub fn build(nl: &Netlist, hetero: &HeteroGraph, n_partitions: usize) -> ConeIndex {
-        let _span = m3d_obs::span!("backtrace.index");
-        let want = n_partitions.max(1);
-        let gate_lvl = topo::levels(nl);
-        let n_nodes = hetero.node_count();
-
-        // Node depth: a pin sits at its gate's combinational level; an MIV
-        // chain hangs off its driving stem, so walk predecessors to the
-        // first pin and inherit that depth.
-        let mut node_lvl = vec![0u32; n_nodes];
-        for (i, lvl) in node_lvl.iter_mut().enumerate() {
-            let node = HNodeId(i as u32);
-            if let Some(g) = hetero.gate_of(node) {
-                *lvl = gate_lvl[g.index()];
-            } else {
-                let mut cur = node;
-                *lvl = loop {
-                    let preds = hetero.predecessors(cur);
-                    let Some(&p) = preds.first() else { break 0 };
-                    if let Some(g) = hetero.gate_of(HNodeId(p)) {
-                        break gate_lvl[g.index()];
-                    }
-                    cur = HNodeId(p);
-                };
-            }
-        }
-
-        // Fold levels into bands of roughly equal node count by prefix
-        // sum: band `b` closes once it holds its proportional share.
-        let max_lvl = node_lvl.iter().copied().max().unwrap_or(0) as usize;
-        let mut lvl_count = vec![0usize; max_lvl + 1];
-        for &l in &node_lvl {
-            lvl_count[l as usize] += 1;
-        }
-        let mut band_of_lvl = vec![0u32; max_lvl + 1];
-        let (mut acc, mut band) = (0usize, 0u32);
-        for (l, &c) in lvl_count.iter().enumerate() {
-            band_of_lvl[l] = band;
-            acc += c;
-            if acc * want >= n_nodes * (band as usize + 1) && (band as usize) + 1 < want {
-                band += 1;
-            }
-        }
-        let n_parts = band as usize + 1;
-
-        let mut part_of = vec![0u32; n_nodes];
-        let mut local_of = vec![0u32; n_nodes];
-        let mut part_nodes = vec![Vec::new(); n_parts];
-        for i in 0..n_nodes {
-            let p = band_of_lvl[node_lvl[i] as usize];
-            part_of[i] = p;
-            local_of[i] = part_nodes[p as usize].len() as u32;
-            part_nodes[p as usize].push(HNodeId(i as u32));
-        }
-
-        // Pack each (partition, obs) cell: count, prefix-sum, fill. Cone
-        // lists are sorted by node id, so every cell comes out ascending
-        // in local rank.
-        let n_obs = hetero.topnodes().len();
-        let mut offsets = vec![0usize; n_parts * n_obs + 1];
-        for (o, tn) in hetero.topnodes().iter().enumerate() {
-            for e in &tn.cone {
-                if hetero.net_of(e.node).is_some() {
-                    let p = part_of[e.node.index()] as usize;
-                    offsets[p * n_obs + o + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n_parts * n_obs {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut entries = vec![(0u32, NetId(0)); offsets[n_parts * n_obs]];
-        let mut cursor = offsets.clone();
-        for (o, tn) in hetero.topnodes().iter().enumerate() {
-            for e in &tn.cone {
-                if let Some(net) = hetero.net_of(e.node) {
-                    let i = e.node.index();
-                    let cell = part_of[i] as usize * n_obs + o;
-                    entries[cursor[cell]] = (local_of[i], net);
-                    cursor[cell] += 1;
-                }
-            }
-        }
-
-        ConeIndex {
-            part_nodes,
-            offsets,
-            entries,
-            n_obs,
-        }
-    }
-
-    /// Number of partitions actually formed (≤ the requested count).
-    pub fn n_partitions(&self) -> usize {
-        self.part_nodes.len()
-    }
-
-    /// The nodes of partition `p`, ascending.
-    pub fn nodes_of(&self, p: usize) -> &[HNodeId] {
-        &self.part_nodes[p]
-    }
-
-    /// The packed net-bearing cone slice of `(partition, obs)`.
-    fn slice(&self, p: usize, obs: ObsId) -> &[(u32, NetId)] {
-        let cell = p * self.n_obs + obs.index();
-        &self.entries[self.offsets[cell]..self.offsets[cell + 1]]
-    }
-}
-
-/// [`backtrace`] sharded across partitions on an [`ExecPool`]:
-/// bit-identical results at any partition and thread count, built for
-/// paper-scale designs where the per-node hash maps of the monolithic
-/// path dominate the wall clock.
-///
-/// Failure entries are resolved to their candidate observers **once**, up
-/// front — pattern screening and `candidate_observers` emit drop counters
-/// and warnings, which must fire exactly as often as in the monolithic
-/// path. Each shard then screens its own packed cone slices into dense
-/// per-partition support arrays (an epoch stamp deduplicates nodes seen
-/// through several observers of one entry), the shards merge in partition
-/// order, and the selection tail — support floor, deterministic cap —
-/// is shared with [`backtrace`], whose total-order sort makes the result
-/// a pure function of the merged node→support multiset.
-#[allow(clippy::too_many_arguments)] // mirrors `backtrace` plus the shard plumbing
-pub fn backtrace_sharded(
+/// The selection tail shared by both back-traces: keep nodes within
+/// `keep_frac` of the best support, cap deterministically, and build the
+/// subgraph. A pure function of the `node → support` multiset.
+fn select(
     hetero: &HeteroGraph,
     features: &FeatureExtractor,
-    sim: &PatternSim,
-    obs: &ObsPoints,
-    chains: Option<&ScanChains>,
-    log: &FailureLog,
+    supported: impl Iterator<Item = (HNodeId, u32)>,
     cfg: &BacktraceConfig,
-    index: &ConeIndex,
-    pool: &ExecPool,
+    stats: BacktraceStats,
 ) -> Subgraph {
-    let _span = m3d_obs::span!("backtrace");
-    let pattern_cap = sim.pattern_capacity();
-    let mut dropped_patterns = 0u64;
-    // Resolve once, shared by every shard: observer resolution is the
-    // observable part of the walk (drop counters, warnings) and must not
-    // be multiplied by the partition count.
-    let mut resolved: Vec<(u32, Vec<ObsId>)> = Vec::with_capacity(log.entries().len());
-    for entry in log.entries() {
-        if entry.pattern as usize >= pattern_cap {
-            dropped_patterns += 1;
-            continue;
-        }
-        let observers = FailureLog::candidate_observers(entry, obs, chains);
-        if !observers.is_empty() {
-            resolved.push((entry.pattern, observers));
-        }
-    }
-    if dropped_patterns > 0 {
-        m3d_obs::counter!("backtrace.dropped.pattern_out_of_range", dropped_patterns);
-        m3d_obs::warn!(
-            "backtrace: dropped {dropped_patterns} failure entries with pattern numbers \
-             beyond the {pattern_cap} simulated slots (corrupt log?)"
-        );
-    }
-
-    let n_parts = index.n_partitions();
-    m3d_obs::gauge!("backtrace.partitions", n_parts as f64);
-    m3d_obs::counter!("backtrace.shard.calls", 1);
-    m3d_obs::counter!("backtrace.shard.entries", resolved.len() as u64);
-
-    let shards: Vec<(Vec<(HNodeId, u32)>, u64)> = {
-        let _shard_span = m3d_obs::span!("backtrace.shard");
-        pool.map_indices(n_parts, |p| {
-            let n_local = index.nodes_of(p).len();
-            let mut support = vec![0u32; n_local];
-            // Epoch stamps (keyed by entry index) deduplicate a node seen
-            // through several observers of the same entry without a hash
-            // set; within one observer's cone every node is unique, so
-            // single-observer entries skip stamping entirely.
-            let mut stamp = vec![u32::MAX; n_local];
-            let mut checks = 0u64;
-            for (ei, (pattern, observers)) in resolved.iter().enumerate() {
-                let multi = observers.len() > 1;
-                for &obs_id in observers {
-                    let slice = index.slice(p, obs_id);
-                    checks += slice.len() as u64;
-                    for &(local, net) in slice {
-                        if sim.net_transition(net, *pattern as usize) {
-                            let i = local as usize;
-                            if multi {
-                                if stamp[i] == ei as u32 {
-                                    continue;
-                                }
-                                stamp[i] = ei as u32;
-                            }
-                            support[i] += 1;
-                        }
-                    }
-                }
-            }
-            let pairs: Vec<(HNodeId, u32)> = support
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(i, c)| (index.nodes_of(p)[i], c))
-                .collect();
-            (pairs, checks)
-        })
-    };
-
-    let mut activity_checks = 0u64;
-    let mut supported: Vec<(HNodeId, u32)> = Vec::new();
-    for (pairs, checks) in shards {
-        activity_checks += checks;
-        supported.extend(pairs); // order-preserving: partition-major, ascending within
-    }
-    m3d_obs::counter!("backtrace.activity_checks", activity_checks);
-    m3d_obs::counter!("backtrace.shard.merged_nodes", supported.len() as u64);
-
-    let stats = BacktraceStats {
-        nodes_visited: 0,
-        activity_checks,
-        cone_cache_hits: 0,
-        dropped_patterns,
-    };
+    let supported: Vec<(HNodeId, u32)> = supported.collect();
     let max_support = supported.iter().map(|&(_, c)| c).max().unwrap_or(0);
     if max_support == 0 {
         let mut sub = empty_subgraph();
@@ -666,6 +236,76 @@ pub fn backtrace_sharded(
     let mut sub = build_subgraph(hetero, features, nodes);
     sub.stats = stats;
     sub
+}
+
+/// The fan-in cone of observation point `id` by a plain FIFO reverse BFS:
+/// `(node, distance, MIVs on the first shortest path found)` in visiting
+/// order. The reference definition of the cone store and its Topedge
+/// fold.
+pub fn reference_cone(
+    hetero: &HeteroGraph,
+    obs: &ObsPoints,
+    id: ObsId,
+) -> Vec<(HNodeId, u16, u16)> {
+    let start = hetero.pin_of(PinRef::input(obs.point(id).gate, 0));
+    let mut dist = vec![u16::MAX; hetero.node_count()];
+    let mut mivs = vec![0u16; hetero.node_count()];
+    let mut out = Vec::new();
+    let mut q = VecDeque::from([start]);
+    dist[start.index()] = 0;
+    while let Some(u) = q.pop_front() {
+        let (d, m) = (dist[u.index()], mivs[u.index()]);
+        out.push((u, d, m));
+        for &v in hetero.predecessors(u) {
+            let v = HNodeId(v);
+            if dist[v.index()] == u16::MAX {
+                dist[v.index()] = d + 1;
+                mivs[v.index()] = m + u16::from(matches!(hetero.kind(v), HNodeKind::Miv(_)));
+                q.push_back(v);
+            }
+        }
+    }
+    out
+}
+
+/// [`backtrace`] by definition — a [`reference_cone`] walk per entry and
+/// candidate observer, screened through [`PatternSim::net_transition`]
+/// into hash sets — for tests and probes to compare against. Emits the
+/// same counters and warnings, apart from `backtrace.activity_checks`.
+pub fn reference_backtrace(
+    hetero: &HeteroGraph,
+    features: &FeatureExtractor,
+    sim: &PatternSim,
+    obs: &ObsPoints,
+    chains: Option<&ScanChains>,
+    log: &FailureLog,
+    cfg: &BacktraceConfig,
+) -> Subgraph {
+    let mut support: HashMap<HNodeId, u32> = HashMap::new();
+    let mut stats = BacktraceStats::default();
+    for entry in log.entries() {
+        let pattern = entry.pattern as usize;
+        if pattern >= sim.pattern_capacity() {
+            stats.dropped_patterns += 1;
+            continue;
+        }
+        let mut seen = HashSet::new();
+        for o in FailureLog::candidate_observers(entry, obs, chains) {
+            for (node, _, _) in reference_cone(hetero, obs, o) {
+                if hetero
+                    .net_of(node)
+                    .is_some_and(|net| sim.net_transition(net, pattern))
+                {
+                    seen.insert(node);
+                }
+            }
+        }
+        for node in seen {
+            *support.entry(node).or_insert(0) += 1;
+        }
+    }
+    report_dropped(stats.dropped_patterns, sim.pattern_capacity());
+    select(hetero, features, support.into_iter(), cfg, stats)
 }
 
 fn empty_subgraph() -> Subgraph {
@@ -757,6 +397,63 @@ mod tests {
         }
     }
 
+    /// Everything [`backtrace`] reads, built once per fixture.
+    struct Tracer<'a> {
+        fsim: FaultSimulator<'a>,
+        hetero: HeteroGraph,
+        feats: FeatureExtractor,
+        activity: PatternActivity,
+    }
+
+    impl<'a> Tracer<'a> {
+        fn new(m3d: &'a M3dNetlist, patterns: &'a PatternSet) -> Self {
+            let fsim = FaultSimulator::new(m3d.netlist(), patterns);
+            let hetero = HeteroGraph::build(m3d, fsim.obs());
+            let feats = FeatureExtractor::compute(m3d, &hetero);
+            let activity = PatternActivity::build(&hetero, fsim.sim());
+            Tracer {
+                fsim,
+                hetero,
+                feats,
+                activity,
+            }
+        }
+
+        fn run(
+            &self,
+            chains: Option<&ScanChains>,
+            log: &FailureLog,
+            cfg: &BacktraceConfig,
+        ) -> Subgraph {
+            backtrace(
+                &self.hetero,
+                &self.feats,
+                &self.activity,
+                self.fsim.obs(),
+                chains,
+                log,
+                cfg,
+            )
+        }
+
+        fn reference(
+            &self,
+            chains: Option<&ScanChains>,
+            log: &FailureLog,
+            cfg: &BacktraceConfig,
+        ) -> Subgraph {
+            reference_backtrace(
+                &self.hetero,
+                &self.feats,
+                self.fsim.sim(),
+                self.fsim.obs(),
+                chains,
+                log,
+                cfg,
+            )
+        }
+    }
+
     fn detected(fsim: &FaultSimulator<'_>, n: usize) -> Vec<Tdf> {
         tdf_list(fsim.netlist())
             .into_iter()
@@ -766,26 +463,22 @@ mod tests {
             .collect()
     }
 
+    fn assert_identical(got: &Subgraph, want: &Subgraph) {
+        assert_eq!(got.nodes, want.nodes);
+        assert_eq!(got.x.as_slice(), want.x.as_slice());
+        assert_eq!(got.miv_rows, want.miv_rows);
+        assert_eq!(got.stats.dropped_patterns, want.stats.dropped_patterns);
+    }
+
     #[test]
     fn subgraph_contains_fault_node() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        for f in detected(&fsim, 8) {
-            let log = FailureLog::uncompacted(&fsim.simulate(&[f]));
-            let sub = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log,
-                &BacktraceConfig::default(),
-                None,
-            );
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        for f in detected(&t.fsim, 8) {
+            let log = FailureLog::uncompacted(&t.fsim.simulate(&[f]));
+            let sub = t.run(None, &log, &BacktraceConfig::default());
             assert!(!sub.is_empty());
-            let node = hetero.pin_of(f.site);
+            let node = t.hetero.pin_of(f.site);
             assert!(
                 sub.row_of(node).is_some(),
                 "fault node must survive intersection for {f}"
@@ -796,107 +489,54 @@ mod tests {
     #[test]
     fn subgraph_smaller_than_graph() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let f = detected(&fsim, 1)[0];
-        let log = FailureLog::uncompacted(&fsim.simulate(&[f]));
-        let sub = backtrace(
-            &hetero,
-            &feats,
-            fsim.sim(),
-            fsim.obs(),
-            None,
-            &log,
-            &BacktraceConfig::default(),
-            None,
-        );
-        assert!(sub.len() < hetero.node_count() / 2, "{}", sub.len());
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let f = detected(&t.fsim, 1)[0];
+        let log = FailureLog::uncompacted(&t.fsim.simulate(&[f]));
+        let sub = t.run(None, &log, &BacktraceConfig::default());
+        assert!(sub.len() < t.hetero.node_count() / 2, "{}", sub.len());
     }
 
     #[test]
     fn empty_log_gives_empty_subgraph() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let sub = backtrace(
-            &hetero,
-            &feats,
-            fsim.sim(),
-            fsim.obs(),
-            None,
-            &FailureLog::default(),
-            &BacktraceConfig::default(),
-            None,
-        );
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let sub = t.run(None, &FailureLog::default(), &BacktraceConfig::default());
         assert!(sub.is_empty());
     }
 
     #[test]
     fn max_nodes_cap_respected() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let f = detected(&fsim, 1)[0];
-        let log = FailureLog::uncompacted(&fsim.simulate(&[f]));
-        let sub = backtrace(
-            &hetero,
-            &feats,
-            fsim.sim(),
-            fsim.obs(),
-            None,
-            &log,
-            &BacktraceConfig {
-                max_nodes: 10,
-                ..BacktraceConfig::default()
-            },
-            None,
-        );
-        assert!(sub.len() <= 10);
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let f = detected(&t.fsim, 1)[0];
+        let log = FailureLog::uncompacted(&t.fsim.simulate(&[f]));
+        let cfg = BacktraceConfig {
+            max_nodes: 10,
+            ..BacktraceConfig::default()
+        };
+        assert!(t.run(None, &log, &cfg).len() <= 10);
     }
 
     #[test]
     fn compacted_backtrace_yields_larger_subgraph() {
         let fx = fixture();
-        let chains = m3d_netlist::ScanChains::stitch(fx.m3d.netlist(), 8, 4);
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
+        let chains = ScanChains::stitch(fx.m3d.netlist(), 8, 4);
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
         let cfg = BacktraceConfig {
             max_nodes: 100_000,
             ..BacktraceConfig::default()
         };
         let mut larger = 0usize;
         let mut total = 0usize;
-        for f in detected(&fsim, 6) {
-            let det = fsim.simulate(&[f]);
+        for f in detected(&t.fsim, 6) {
+            let det = t.fsim.simulate(&[f]);
             let log_u = FailureLog::uncompacted(&det);
-            let log_c = FailureLog::compacted(&det, fsim.obs(), &chains);
+            let log_c = FailureLog::compacted(&det, t.fsim.obs(), &chains);
             if log_c.is_empty() {
                 continue;
             }
-            let su = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log_u,
-                &cfg,
-                None,
-            );
-            let sc = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                Some(&chains),
-                &log_c,
-                &cfg,
-                None,
-            );
+            let su = t.run(None, &log_u, &cfg);
+            let sc = t.run(Some(&chains), &log_c, &cfg);
             total += 1;
             if sc.len() >= su.len() {
                 larger += 1;
@@ -909,176 +549,79 @@ mod tests {
     }
 
     #[test]
-    fn cone_memo_does_not_change_results() {
+    fn backtrace_is_bit_identical_to_reference() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let memo = ConeMemo::new();
-        for f in detected(&fsim, 4) {
-            let log = FailureLog::uncompacted(&fsim.simulate(&[f]));
-            // Cold (fills the memo), warm (served from it), and memo-free
-            // runs must agree exactly.
-            let cold = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log,
-                &BacktraceConfig::default(),
-                Some(&memo),
-            );
-            let warm = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log,
-                &BacktraceConfig::default(),
-                Some(&memo),
-            );
-            let plain = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log,
-                &BacktraceConfig::default(),
-                None,
-            );
-            for got in [&cold, &warm] {
-                assert_eq!(got.nodes, plain.nodes);
-                assert_eq!(got.x.as_slice(), plain.x.as_slice());
-                assert_eq!(got.miv_rows, plain.miv_rows);
-            }
-        }
-        assert!(!memo.is_empty(), "memo should have cached cones");
-    }
-
-    #[test]
-    fn cone_memo_byte_cap_is_a_hard_ceiling_with_fifo_eviction() {
-        // Room for exactly two 4-node active sets (4*4 + overhead each).
-        let cap = 2 * ConeMemo::active_cost(4) + ConeMemo::active_cost(4) / 2;
-        let memo = ConeMemo::with_capacity_bytes(cap);
-        memo.insert(ObsId(0), 0, vec![HNodeId(1); 4]);
-        memo.insert(ObsId(1), 0, vec![HNodeId(2); 4]);
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.evictions(), 0);
-        assert!(memo.bytes() <= cap);
-        // A third entry evicts the oldest instead of blowing the cap.
-        memo.insert(ObsId(2), 0, vec![HNodeId(3); 4]);
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.evictions(), 1);
-        assert!(memo.bytes() <= cap);
-        assert!(memo.get(ObsId(0), 0).is_none(), "oldest entry evicted");
-        assert!(memo.get(ObsId(1), 0).is_some());
-        assert!(memo.get(ObsId(2), 0).is_some());
-        // An entry that could never fit is skipped without evicting.
-        memo.insert(ObsId(3), 0, vec![HNodeId(4); 100]);
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.evictions(), 1);
-        assert!(memo.get(ObsId(3), 0).is_none());
-        // A rejected resolved cone is still returned for local use, and
-        // level-1 admission never pushes past the cap either.
-        let big = vec![(HNodeId(5), NetId(5)); 100];
-        let handed_back = memo.insert_resolved(ObsId(3), big.clone());
-        assert_eq!(handed_back.as_ref(), big.as_slice());
-        assert!(memo.resolved(ObsId(3)).is_none());
-        assert!(memo.bytes() <= cap);
-    }
-
-    #[test]
-    fn sharded_backtrace_is_bit_identical_to_monolithic() {
-        let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let chains = m3d_netlist::ScanChains::stitch(fx.m3d.netlist(), 8, 4);
-        for parts in [1usize, 3, 8] {
-            let index = ConeIndex::build(fx.m3d.netlist(), &hetero, parts);
-            assert!(index.n_partitions() >= 1 && index.n_partitions() <= parts);
-            for f in detected(&fsim, 3) {
-                let det = fsim.simulate(&[f]);
-                let cases = [
-                    (FailureLog::uncompacted(&det), false),
-                    (FailureLog::compacted(&det, fsim.obs(), &chains), true),
-                ];
-                for (log, compacted) in cases {
-                    let ch = compacted.then_some(&chains);
-                    let mono = backtrace(
-                        &hetero,
-                        &feats,
-                        fsim.sim(),
-                        fsim.obs(),
-                        ch,
-                        &log,
-                        &BacktraceConfig::default(),
-                        None,
-                    );
-                    for threads in [1usize, 4] {
-                        let pool = ExecPool::with_threads(threads);
-                        let sharded = backtrace_sharded(
-                            &hetero,
-                            &feats,
-                            fsim.sim(),
-                            fsim.obs(),
-                            ch,
-                            &log,
-                            &BacktraceConfig::default(),
-                            &index,
-                            &pool,
-                        );
-                        assert_eq!(
-                            sharded.nodes, mono.nodes,
-                            "{parts} parts, {threads} threads"
-                        );
-                        assert_eq!(sharded.x.as_slice(), mono.x.as_slice());
-                        assert_eq!(sharded.miv_rows, mono.miv_rows);
-                        assert_eq!(sharded.stats.dropped_patterns, mono.stats.dropped_patterns);
-                    }
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let chains = ScanChains::stitch(fx.m3d.netlist(), 8, 4);
+        // Every supported node survives: any cone or activity difference
+        // shows.
+        let wide = BacktraceConfig {
+            keep_frac: 0.0,
+            max_nodes: 100_000,
+        };
+        for f in detected(&t.fsim, 3) {
+            let det = t.fsim.simulate(&[f]);
+            let cases = [
+                (FailureLog::uncompacted(&det), None),
+                (
+                    FailureLog::compacted(&det, t.fsim.obs(), &chains),
+                    Some(&chains),
+                ),
+            ];
+            for (log, ch) in &cases {
+                for cfg in [BacktraceConfig::default(), wide] {
+                    let got = t.run(*ch, log, &cfg);
+                    assert_identical(&got, &t.reference(*ch, log, &cfg));
+                    let checks: u64 = log
+                        .entries()
+                        .iter()
+                        .flat_map(|e| FailureLog::candidate_observers(e, t.fsim.obs(), *ch))
+                        .map(|o| t.hetero.cone_size(o))
+                        .sum();
+                    assert_eq!(got.stats.activity_checks, checks);
                 }
             }
         }
     }
 
     #[test]
-    fn sharded_backtrace_screens_corrupt_entries_once() {
+    fn backtrace_screens_corrupt_entries() {
         use m3d_sim::{FailEntry, FailObs};
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let index = ConeIndex::build(fx.m3d.netlist(), &hetero, 4);
-        let log: FailureLog = [FailEntry {
-            pattern: u32::MAX,
-            obs: FailObs::Direct(ObsId(0)),
-        }]
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let slots = t.activity.slots() as u32;
+        assert_eq!(slots as usize, t.fsim.sim().pattern_capacity());
+        let log: FailureLog = [
+            FailEntry {
+                pattern: u32::MAX,
+                obs: FailObs::Direct(ObsId(0)),
+            },
+            FailEntry {
+                pattern: slots,
+                obs: FailObs::Direct(ObsId(1)),
+            },
+            FailEntry {
+                pattern: 0,
+                obs: FailObs::Direct(ObsId(u32::MAX)),
+            },
+            FailEntry {
+                pattern: slots - 1,
+                obs: FailObs::Direct(ObsId(0)),
+            },
+        ]
         .into_iter()
         .collect();
-        let sub = backtrace_sharded(
-            &hetero,
-            &feats,
-            fsim.sim(),
-            fsim.obs(),
-            None,
-            &log,
-            &BacktraceConfig::default(),
-            &index,
-            &ExecPool::serial(),
-        );
-        assert!(sub.is_empty());
-        assert_eq!(sub.stats.dropped_patterns, 1);
+        let sub = t.run(None, &log, &BacktraceConfig::default());
+        assert_eq!(sub.stats.dropped_patterns, 2);
+        assert_eq!(sub.stats.activity_checks, t.hetero.cone_size(ObsId(0)));
+        assert_identical(&sub, &t.reference(None, &log, &BacktraceConfig::default()));
     }
 
-    /// The ISSUE's memo-cap acceptance: at a 100k-gate profile the cap is
-    /// a pinned peak — `bytes()` (payload + bookkeeping, both levels)
-    /// never exceeds it, and the log churn is big enough that staying
-    /// under required evicting.
+    /// Paper-class cones: a 100k-gate design whose few observers each see
+    /// most of the graph, traced through a log naming every observer
+    /// under several patterns.
     #[test]
-    fn cone_memo_peak_bytes_pinned_under_cap_at_100k_gates() {
+    fn backtrace_matches_reference_at_100k_gates() {
         use m3d_part::RandomPartitioner;
         use m3d_sim::{source_count_for, FailEntry, FailObs};
         let nl = generate(&GeneratorConfig {
@@ -1093,12 +636,8 @@ mod tests {
         let part = RandomPartitioner::new(7).partition(&nl, 2);
         let m3d = M3dNetlist::build(nl, part);
         let patterns = PatternSet::random(source_count_for(m3d.netlist()), 64, 11);
-        let fsim = FaultSimulator::new(m3d.netlist(), &patterns);
-        let hetero = HeteroGraph::build(&m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&m3d, &hetero);
-        let cap = 4 << 20;
-        let memo = ConeMemo::with_capacity_bytes(cap);
-        let n_obs = fsim.obs().len() as u32;
+        let t = Tracer::new(&m3d, &patterns);
+        let n_obs = t.fsim.obs().len() as u32;
         let log: FailureLog = (0..4u32)
             .flat_map(|p| {
                 (0..n_obs).map(move |o| FailEntry {
@@ -1107,49 +646,22 @@ mod tests {
                 })
             })
             .collect();
-        for _ in 0..2 {
-            let sub = backtrace(
-                &hetero,
-                &feats,
-                fsim.sim(),
-                fsim.obs(),
-                None,
-                &log,
-                &BacktraceConfig::default(),
-                Some(&memo),
-            );
-            assert!(!sub.is_empty());
-            assert!(
-                memo.bytes() <= cap,
-                "memo holds {} bytes, cap {cap}",
-                memo.bytes()
-            );
-        }
-        assert!(
-            memo.evictions() > 0,
-            "100k-gate active cones must overflow a 4 MiB budget"
-        );
-        assert!(!memo.is_empty());
+        let cfg = BacktraceConfig {
+            keep_frac: 0.25,
+            max_nodes: 100_000,
+        };
+        let got = t.run(None, &log, &cfg);
+        assert!(!got.is_empty());
+        assert_identical(&got, &t.reference(None, &log, &cfg));
     }
 
     #[test]
     fn subgraph_features_have_local_degrees() {
         let fx = fixture();
-        let fsim = FaultSimulator::new(fx.m3d.netlist(), &fx.patterns);
-        let hetero = HeteroGraph::build(&fx.m3d, fsim.obs());
-        let feats = FeatureExtractor::compute(&fx.m3d, &hetero);
-        let f = detected(&fsim, 1)[0];
-        let log = FailureLog::uncompacted(&fsim.simulate(&[f]));
-        let sub = backtrace(
-            &hetero,
-            &feats,
-            fsim.sim(),
-            fsim.obs(),
-            None,
-            &log,
-            &BacktraceConfig::default(),
-            None,
-        );
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let f = detected(&t.fsim, 1)[0];
+        let log = FailureLog::uncompacted(&t.fsim.simulate(&[f]));
+        let sub = t.run(None, &log, &BacktraceConfig::default());
         // At least one node must have nonzero local degree (the subgraph is
         // connected around the fault's cone).
         let any_local = (0..sub.len())

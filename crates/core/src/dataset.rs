@@ -6,9 +6,7 @@
 //! (a defective via delays all its far-side load pins), and the 2–5
 //! same-tier multi-TDF samples of the Table X study.
 
-use crate::backtrace::{
-    backtrace, backtrace_sharded, BacktraceConfig, ConeIndex, ConeMemo, Subgraph,
-};
+use crate::backtrace::{backtrace, BacktraceConfig, PatternActivity, Subgraph};
 use crate::design::TestBench;
 use crate::features::FeatureExtractor;
 use crate::hetero::HeteroGraph;
@@ -152,52 +150,25 @@ pub struct DesignContext<'a> {
     pub hetero: HeteroGraph,
     /// Global node features.
     pub features: FeatureExtractor,
-    /// Memoized active fan-in cones shared by every back-trace on this
-    /// bench (valid for the context's lifetime: graph and patterns are
-    /// immutable once built).
-    pub cone_memo: ConeMemo,
-    /// Levelized partition + packed cone slices for sharded back-tracing.
-    /// Built automatically for paper-scale graphs (see
-    /// [`SHARD_AUTO_NODES`]); `None` keeps the monolithic path, whose
-    /// results are bit-identical.
-    pub cone_index: Option<ConeIndex>,
+    /// Transition-active nodes per pattern slot, the other half of the
+    /// bitmap back-trace (the cones live in [`HeteroGraph`]).
+    pub activity: PatternActivity,
 }
 
-/// Node count past which [`DesignContext::new`] back-traces through a
-/// [`ConeIndex`]: at this size the dense per-partition support arrays of
-/// the sharded path beat the monolithic hash maps even single-threaded,
-/// while quick-profile designs stay on the memoized path that their
-/// wall-clock baselines pin.
-pub const SHARD_AUTO_NODES: usize = 150_000;
-
 impl<'a> DesignContext<'a> {
-    /// Prepares simulation, graph, and features for `bench`.
+    /// Prepares simulation, graph, cone store, and features for `bench`.
     pub fn new(bench: &'a TestBench) -> Self {
         let fsim = FaultSimulator::new(bench.netlist(), &bench.patterns);
         let hetero = HeteroGraph::build(&bench.m3d, fsim.obs());
         let features = FeatureExtractor::compute(&bench.m3d, &hetero);
-        let cone_index = (hetero.node_count() >= SHARD_AUTO_NODES).then(|| {
-            let parts = (hetero.node_count() / 75_000).clamp(2, 16);
-            ConeIndex::build(bench.netlist(), &hetero, parts)
-        });
+        let activity = PatternActivity::build(&hetero, fsim.sim());
         DesignContext {
             bench,
             fsim,
             hetero,
             features,
-            cone_memo: ConeMemo::new(),
-            cone_index,
+            activity,
         }
-    }
-
-    /// [`DesignContext::new`] with a forced [`ConeIndex`] over
-    /// `n_partitions` level bands, regardless of design size (0 drops the
-    /// index and pins the monolithic path).
-    pub fn with_partitions(bench: &'a TestBench, n_partitions: usize) -> Self {
-        let mut ctx = DesignContext::new(bench);
-        ctx.cone_index = (n_partitions > 0)
-            .then(|| ConeIndex::build(bench.netlist(), &ctx.hetero, n_partitions));
-        ctx
     }
 
     /// The scan chains when diagnosing compacted logs.
@@ -280,45 +251,16 @@ impl<'a> DesignContext<'a> {
         Ok(())
     }
 
-    /// Back-traces a failure log into a subgraph. Dispatches to the
-    /// sharded path when the context carries a [`ConeIndex`] (serially —
-    /// sample generation already fans out across logs); both paths are
-    /// bit-identical.
+    /// Back-traces a failure log into a subgraph.
     pub fn backtrace(&self, log: &FailureLog, compacted: bool, cfg: &BacktraceConfig) -> Subgraph {
-        self.backtrace_with_pool(log, compacted, cfg, &ExecPool::serial())
-    }
-
-    /// [`DesignContext::backtrace`] sharding across `pool` when the
-    /// context carries a [`ConeIndex`]; without one the pool is unused.
-    pub fn backtrace_with_pool(
-        &self,
-        log: &FailureLog,
-        compacted: bool,
-        cfg: &BacktraceConfig,
-        pool: &ExecPool,
-    ) -> Subgraph {
-        if let Some(index) = &self.cone_index {
-            return backtrace_sharded(
-                &self.hetero,
-                &self.features,
-                self.fsim.sim(),
-                self.fsim.obs(),
-                compacted.then_some(&self.bench.chains),
-                log,
-                cfg,
-                index,
-                pool,
-            );
-        }
         backtrace(
             &self.hetero,
             &self.features,
-            self.fsim.sim(),
+            &self.activity,
             self.fsim.obs(),
             compacted.then_some(&self.bench.chains),
             log,
             cfg,
-            Some(&self.cone_memo),
         )
     }
 }

@@ -77,33 +77,17 @@ impl FeatureExtractor {
         let depth = levels.iter().copied().max().unwrap_or(1).max(1) as f32;
         let mut x = Matrix::zeros(n, N_FEATURES);
 
-        // Topedge aggregates.
-        let mut cnt = vec![0u32; n];
-        let mut dsum = vec![0f64; n];
-        let mut dsq = vec![0f64; n];
-        let mut msum = vec![0f64; n];
-        let mut msq = vec![0f64; n];
-        let mut max_dist = 1f64;
-        for tn in hetero.topnodes() {
-            for e in &tn.cone {
-                let i = e.node.index();
-                cnt[i] += 1;
-                let d = f64::from(e.dist);
-                let m = f64::from(e.mivs);
-                dsum[i] += d;
-                dsq[i] += d * d;
-                msum[i] += m;
-                msq[i] += m * m;
-                max_dist = max_dist.max(d);
-            }
-        }
+        // Topedge aggregates: exact integer sums, so converting them gives
+        // the same f64 values as summing the small integers one by one.
+        let max_dist = f64::from(hetero.max_topedge_dist().max(1));
 
         for i in 0..n {
             let node = HNodeId(i as u32);
             let (din, dout) = hetero.degrees(node);
             x.set(i, F_FANIN_CIRCUIT, (1.0 + din as f32).ln());
             x.set(i, F_FANOUT_CIRCUIT, (1.0 + dout as f32).ln());
-            x.set(i, F_N_TOP, (1.0 + cnt[i] as f32).ln());
+            let top = hetero.topedge_sums(node);
+            x.set(i, F_N_TOP, (1.0 + top.count as f32).ln());
             match hetero.kind(node) {
                 HNodeKind::Pin(pin) => {
                     let tier = m3d.tier_of_site(pin);
@@ -128,12 +112,12 @@ impl FeatureExtractor {
                     x.set(i, F_MIV, 1.0);
                 }
             }
-            if cnt[i] > 0 {
-                let c = f64::from(cnt[i]);
-                let dm = dsum[i] / c;
-                let dv = (dsq[i] / c - dm * dm).max(0.0);
-                let mm = msum[i] / c;
-                let mv = (msq[i] / c - mm * mm).max(0.0);
+            if top.count > 0 {
+                let c = f64::from(top.count);
+                let dm = top.dist as f64 / c;
+                let dv = (top.dist_sq as f64 / c - dm * dm).max(0.0);
+                let mm = top.mivs as f64 / c;
+                let mv = (top.mivs_sq as f64 / c - mm * mm).max(0.0);
                 x.set(i, F_DTOP_MEAN, (dm / max_dist) as f32);
                 x.set(i, F_DTOP_STD, (dv.sqrt() / max_dist) as f32);
                 x.set(i, F_NMIV_MEAN, (1.0 + mm).ln() as f32);

@@ -10,13 +10,16 @@
 //! *Topedges* to every circuit-level node in its fan-in cone; each Topedge
 //! carries the BFS-shortest distance and the number of MIVs on that path
 //! (Table I's `D_top` / `N_MIV`). Construction is a single reverse BFS per
-//! Topnode, `O(|V| + |E|)` overall per Topnode set, run once per design
-//! and reused for every failure log.
+//! Topnode, fanned over an [`ExecPool`], run once per design. The cones
+//! are kept as one dense bitmap row per Topnode (the cone store that
+//! back-tracing intersects); each walk folds its Topedge attributes into
+//! per-node integer sums, which is all the features need.
 
+use m3d_exec::ExecPool;
 use m3d_netlist::{GateId, NetId, Pin, PinRef};
 use m3d_part::{M3dNetlist, MivId};
 use m3d_sim::{ObsId, ObsPoints};
-use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// Dense id of a heterogeneous-graph node (a pin or an MIV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,24 +42,22 @@ pub enum HNodeKind {
     Miv(MivId),
 }
 
-/// One Topedge: the fan-in-cone membership record of a Topnode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopEdge {
-    /// The circuit-level node in the cone.
-    pub node: HNodeId,
-    /// Shortest-path node distance from the Topnode.
-    pub dist: u16,
-    /// Number of MIV nodes on that shortest path.
-    pub mivs: u16,
-}
-
-/// One Topnode: a scan observation point and its fan-in cone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopNode {
-    /// The observation point this Topnode corresponds to.
-    pub obs: ObsId,
-    /// The fan-in cone with per-edge features, sorted by node id.
-    pub cone: Vec<TopEdge>,
+/// The Topedges reaching one node, folded over every Topnode whose cone
+/// holds it: the count plus the sums and sums of squares of their
+/// lengths and MIV counts. Integer sums are exact, so the fold is the
+/// same at any thread count and merge order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct TopedgeSums {
+    /// Number of Topedges (cones containing the node).
+    pub(crate) count: u32,
+    /// Σ shortest-path distance.
+    pub(crate) dist: u64,
+    /// Σ distance².
+    pub(crate) dist_sq: u64,
+    /// Σ MIVs on the first shortest path found.
+    pub(crate) mivs: u64,
+    /// Σ MIV count².
+    pub(crate) mivs_sq: u64,
 }
 
 /// The heterogeneous graph of a partitioned design.
@@ -78,12 +79,27 @@ pub struct HeteroGraph {
     /// Per-gate offset into the pin-node id space.
     pin_offset: Vec<u32>,
     pin_total: u32,
-    topnodes: Vec<TopNode>,
+    /// Cone store: `⌈nodes/64⌉` words per Topnode, bit `n` of row `o` set
+    /// iff node `n` is in observation point `o`'s fan-in cone.
+    cones: Vec<u64>,
+    /// Popcount of each cone row.
+    cone_sizes: Vec<u64>,
+    /// Per-node Topedge fold.
+    topedge: Vec<TopedgeSums>,
+    /// Longest Topedge over every cone.
+    max_topedge_dist: u16,
 }
 
 impl HeteroGraph {
-    /// Builds the heterogeneous graph for `m3d` with Topnodes for `obs`.
+    /// Builds the heterogeneous graph for `m3d` with Topnodes for `obs`,
+    /// walking the cones on the environment-resolved [`ExecPool`].
     pub fn build(m3d: &M3dNetlist, obs: &ObsPoints) -> Self {
+        HeteroGraph::build_with_pool(m3d, obs, &ExecPool::default())
+    }
+
+    /// [`HeteroGraph::build`] walking the cones on `pool`; the result is
+    /// identical at any thread count.
+    pub fn build_with_pool(m3d: &M3dNetlist, obs: &ObsPoints, pool: &ExecPool) -> Self {
         let nl = m3d.netlist();
         // --- Pin-node id space.
         let mut pin_offset = Vec::with_capacity(nl.gate_count() + 1);
@@ -192,20 +208,62 @@ impl HeteroGraph {
             rev_idx,
             pin_offset,
             pin_total,
-            topnodes: Vec::new(),
+            cones: Vec::new(),
+            cone_sizes: Vec::new(),
+            topedge: Vec::new(),
+            max_topedge_dist: 0,
         };
-
-        // --- Top level: one reverse BFS per observation point.
-        let mut topnodes = Vec::with_capacity(obs.len());
-        for (obs_id, point) in obs.iter() {
-            let start = graph.pin_of(PinRef::input(point.gate, 0));
-            topnodes.push(TopNode {
-                obs: obs_id,
-                cone: graph.reverse_bfs(start),
-            });
-        }
-        graph.topnodes = topnodes;
+        graph.build_cones(obs, pool);
         graph
+    }
+
+    /// Top level: one reverse BFS per observation point, each writing its
+    /// own cone row in place. Workers share a free list of scratch
+    /// buffers, so at most one per worker is ever allocated.
+    fn build_cones(&mut self, obs: &ObsPoints, pool: &ExecPool) {
+        let words = self.row_words();
+        let starts: Vec<u32> = obs
+            .iter()
+            .map(|(_, p)| self.pin_of(PinRef::input(p.gate, 0)).0)
+            .collect();
+        let mut cones = vec![0u64; starts.len() * words];
+        let rows: Vec<Mutex<&mut [u64]>> = cones.chunks_mut(words.max(1)).map(Mutex::new).collect();
+        let spare: Mutex<Vec<ConeWalk>> = Mutex::new(Vec::new());
+        let graph = &*self;
+        pool.map(&rows, |o, row| {
+            let mut walk = spare
+                .lock()
+                .expect("cone scratch list poisoned")
+                .pop()
+                .unwrap_or_else(|| ConeWalk::new(graph.node_count()));
+            walk.run(
+                graph,
+                starts[o],
+                &mut row.lock().expect("cone row poisoned"),
+            );
+            spare.lock().expect("cone scratch list poisoned").push(walk);
+        });
+        drop(rows);
+
+        let mut topedge = vec![TopedgeSums::default(); self.node_count()];
+        let mut max_dist = 0u16;
+        for walk in spare.into_inner().expect("cone scratch list poisoned") {
+            for (t, w) in topedge.iter_mut().zip(&walk.sums) {
+                t.count += w.count;
+                t.dist += w.dist;
+                t.dist_sq += w.dist_sq;
+                t.mivs += w.mivs;
+                t.mivs_sq += w.mivs_sq;
+            }
+            max_dist = max_dist.max(walk.max_dist);
+        }
+        self.cone_sizes = cones
+            .chunks(words.max(1))
+            .map(|row| row.iter().map(|w| u64::from(w.count_ones())).sum())
+            .collect();
+        self.cones = cones;
+        self.topedge = topedge;
+        self.max_topedge_dist = max_dist;
     }
 
     /// Total node count (pins + MIVs).
@@ -275,14 +333,39 @@ impl HeteroGraph {
         (self.predecessors(n).len(), self.successors(n).len())
     }
 
-    /// The Topnodes (indexed by [`ObsId`] order).
-    pub fn topnodes(&self) -> &[TopNode] {
-        &self.topnodes
+    /// Words per bitmap row over the node id space (`⌈nodes/64⌉`).
+    #[inline]
+    pub(crate) fn row_words(&self) -> usize {
+        self.node_count().div_ceil(64)
     }
 
-    /// The Topnode for an observation point.
-    pub fn topnode(&self, obs: ObsId) -> &TopNode {
-        &self.topnodes[obs.index()]
+    /// The fan-in cone of an observation point as a node bitmap of
+    /// [`HeteroGraph::row_words`] words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obs` is not an observation point of this graph.
+    #[inline]
+    pub(crate) fn cone(&self, obs: ObsId) -> &[u64] {
+        let words = self.row_words();
+        &self.cones[obs.index() * words..(obs.index() + 1) * words]
+    }
+
+    /// Number of nodes in the fan-in cone of `obs`.
+    #[inline]
+    pub(crate) fn cone_size(&self, obs: ObsId) -> u64 {
+        self.cone_sizes[obs.index()]
+    }
+
+    /// The Topedge fold of node `n`.
+    #[inline]
+    pub(crate) fn topedge_sums(&self, n: HNodeId) -> TopedgeSums {
+        self.topedge[n.index()]
+    }
+
+    /// The longest Topedge (BFS distance) over every cone.
+    pub(crate) fn max_topedge_dist(&self) -> u16 {
+        self.max_topedge_dist
     }
 
     /// The gate owning a pin node (`None` for MIV nodes).
@@ -292,32 +375,68 @@ impl HeteroGraph {
             HNodeKind::Miv(_) => None,
         }
     }
+}
 
-    fn reverse_bfs(&self, start: HNodeId) -> Vec<TopEdge> {
-        let mut dist = vec![u16::MAX; self.node_count()];
-        let mut mivs = vec![0u16; self.node_count()];
-        let mut out = Vec::new();
-        let mut q = VecDeque::new();
-        dist[start.index()] = 0;
-        q.push_back(start.0);
-        while let Some(u) = q.pop_front() {
-            let d = dist[u as usize];
-            out.push(TopEdge {
-                node: HNodeId(u),
-                dist: d,
-                mivs: mivs[u as usize],
-            });
-            for &v in self.predecessors(HNodeId(u)) {
-                if dist[v as usize] == u16::MAX {
-                    dist[v as usize] = d + 1;
-                    mivs[v as usize] = mivs[u as usize]
-                        + u16::from(matches!(self.kinds[v as usize], HNodeKind::Miv(_)));
-                    q.push_back(v);
+/// One worker's reverse-BFS scratch. The cone row itself marks visited
+/// nodes, so a walk writes `dist_mivs` only at the nodes it discovers and
+/// never resets anything: it costs its cone, not the graph.
+struct ConeWalk {
+    /// `[distance, MIVs on the first shortest path]` per discovered node.
+    dist_mivs: Vec<[u16; 2]>,
+    queue: Vec<u32>,
+    sums: Vec<TopedgeSums>,
+    max_dist: u16,
+}
+
+impl ConeWalk {
+    fn new(n: usize) -> Self {
+        ConeWalk {
+            dist_mivs: vec![[0; 2]; n],
+            queue: Vec::new(),
+            sums: vec![TopedgeSums::default(); n],
+            max_dist: 0,
+        }
+    }
+
+    /// FIFO reverse BFS from `start` over [`HeteroGraph::predecessors`] in
+    /// order, marking the cone in `row`. A node's MIV count comes from the
+    /// first shortest path discovered, so the visiting order is part of
+    /// the feature definition; the Topedge fold is not, so it runs
+    /// afterwards in node order, where `sums` is read sequentially.
+    fn run(&mut self, g: &HeteroGraph, start: u32, row: &mut [u64]) {
+        self.queue.clear();
+        self.queue.push(start);
+        self.dist_mivs[start as usize] = [0, 0];
+        row[start as usize / 64] |= 1 << (start % 64);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let [d, m] = self.dist_mivs[u as usize];
+            for &v in g.predecessors(HNodeId(u)) {
+                let (w, bit) = (v as usize / 64, 1 << (v % 64));
+                if row[w] & bit == 0 {
+                    row[w] |= bit;
+                    self.dist_mivs[v as usize] = [d + 1, m + u16::from(v >= g.pin_total)];
+                    self.queue.push(v);
                 }
             }
         }
-        out.sort_unstable_by_key(|e| e.node);
-        out
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let [d, m] = self.dist_mivs[i];
+                let (d64, m64) = (u64::from(d), u64::from(m));
+                let s = &mut self.sums[i];
+                s.count += 1;
+                s.dist += d64;
+                s.dist_sq += d64 * d64;
+                s.mivs += m64;
+                s.mivs_sq += m64 * m64;
+                self.max_dist = self.max_dist.max(d);
+            }
+        }
     }
 }
 
@@ -341,6 +460,7 @@ fn build_csr(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backtrace::reference_cone;
     use m3d_netlist::{generate, CellKind, GeneratorConfig, Netlist};
     use m3d_part::{MinCutPartitioner, Partitioner, Tier, TierPartition};
 
@@ -410,24 +530,17 @@ mod tests {
         let m3d = small_m3d();
         let obs = ObsPoints::collect(m3d.netlist());
         let h = HeteroGraph::build(&m3d, &obs);
-        assert_eq!(h.topnodes().len(), obs.len());
-        for tn in h.topnodes() {
-            assert!(!tn.cone.is_empty());
+        for (id, point) in obs.iter() {
+            let cone = reference_cone(&h, &obs, id);
+            assert!(!cone.is_empty());
             // The observed pin itself is in its own cone at distance 0.
-            let point = obs.point(tn.obs);
             let self_node = h.pin_of(PinRef::input(point.gate, 0));
-            let e = tn
-                .cone
-                .iter()
-                .find(|e| e.node == self_node)
-                .expect("self in cone");
-            assert_eq!(e.dist, 0);
+            assert_eq!(cone[0], (self_node, 0, 0));
             // Distances strictly positive elsewhere, MIV counts consistent.
-            for e in &tn.cone {
-                if e.node != self_node {
-                    assert!(e.dist > 0);
-                }
-                assert!(e.mivs <= e.dist);
+            for &(node, dist, mivs) in &cone[1..] {
+                assert_ne!(node, self_node);
+                assert!(dist > 0);
+                assert!(mivs <= dist);
             }
         }
     }
@@ -438,15 +551,47 @@ mod tests {
         let obs = ObsPoints::collect(m3d.netlist());
         let h = HeteroGraph::build(&m3d, &obs);
         let mut seen_miv_edge = false;
-        for tn in h.topnodes() {
-            for e in &tn.cone {
-                if matches!(h.kind(e.node), HNodeKind::Miv(_)) {
+        for (id, _) in obs.iter() {
+            for (node, _, mivs) in reference_cone(&h, &obs, id) {
+                if matches!(h.kind(node), HNodeKind::Miv(_)) {
                     seen_miv_edge = true;
-                    assert!(e.mivs >= 1, "an MIV node's path crosses itself");
+                    assert!(mivs >= 1, "an MIV node's path crosses itself");
                 }
             }
         }
         assert!(seen_miv_edge, "some cone must contain an MIV");
+    }
+
+    #[test]
+    fn cone_store_matches_reference_walk_at_any_thread_count() {
+        let m3d = small_m3d();
+        let obs = ObsPoints::collect(m3d.netlist());
+        let reference = HeteroGraph::build_with_pool(&m3d, &obs, &ExecPool::serial());
+        let mut sums = vec![TopedgeSums::default(); reference.node_count()];
+        let mut max_dist = 0u16;
+        for (id, _) in obs.iter() {
+            let cone = reference_cone(&reference, &obs, id);
+            let mut row = vec![0u64; reference.row_words()];
+            for &(node, dist, mivs) in &cone {
+                row[node.index() / 64] |= 1 << (node.index() % 64);
+                let (d, m) = (u64::from(dist), u64::from(mivs));
+                let s = &mut sums[node.index()];
+                s.count += 1;
+                s.dist += d;
+                s.dist_sq += d * d;
+                s.mivs += m;
+                s.mivs_sq += m * m;
+                max_dist = max_dist.max(dist);
+            }
+            assert_eq!(reference.cone(id), row.as_slice(), "{id}");
+            assert_eq!(reference.cone_size(id), cone.len() as u64);
+        }
+        for threads in [1, 2, 4] {
+            let h = HeteroGraph::build_with_pool(&m3d, &obs, &ExecPool::with_threads(threads));
+            assert_eq!(h.cones, reference.cones, "{threads} threads");
+            assert_eq!(h.topedge, sums, "{threads} threads");
+            assert_eq!(h.max_topedge_dist(), max_dist);
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! };
 //! use m3d_netlist::BenchmarkProfile;
 //!
-//! // Prepare a (scaled) AES-like M3D design and its diagnosis context.
+//! // Prepare a (scaled) AES-like M3D design and its diagnosis context:
+//! // fault simulation, the heterogeneous graph with one fan-in cone
+//! // bitmap per observation point, node features, and one active-node
+//! // bitmap per pattern — built once, shared by every back-trace.
 //! let cfg = TestBenchConfig::quick(BenchmarkProfile::AesLike, DesignConfig::Syn1);
 //! let bench = TestBench::build(&cfg);
 //! let ctx = DesignContext::new(&bench);
@@ -87,13 +90,13 @@ mod session;
 pub use artifact::{design_fingerprint, Artifact, ARTIFACT_HEADER};
 pub use audit::DiagnosisAudit;
 pub use backtrace::{
-    backtrace, backtrace_sharded, build_subgraph, BacktraceConfig, BacktraceStats, ConeIndex,
-    ConeMemo, Subgraph,
+    backtrace, build_subgraph, reference_backtrace, reference_cone, BacktraceConfig,
+    BacktraceStats, PatternActivity, Subgraph,
 };
 pub use classifier::{ClassifierConfig, PruneClassifier, CLASS_PRUNE, CLASS_REORDER};
 pub use dataset::{
     generate_samples, generate_samples_with_pool, DatasetConfig, DesignContext, InjectedFault,
-    Sample, SHARD_AUTO_NODES,
+    Sample,
 };
 pub use design::{DesignConfig, TestBench, TestBenchConfig};
 pub use error::{Error, Result, TrainError};
@@ -103,7 +106,7 @@ pub use features::{
     F_NMIV_STD, F_N_TOP, F_OUT, N_FEATURES,
 };
 pub use framework::{DegradeReason, Framework, FrameworkConfig, FrameworkResult, TrainingSet};
-pub use hetero::{HNodeId, HNodeKind, HeteroGraph, TopEdge, TopNode};
+pub use hetero::{HNodeId, HNodeKind, HeteroGraph};
 pub use metrics::{improvement_pct, pfa_time_saved, single_tier_of, TierLocalization};
 pub use models::{
     miv_training_set, tier_training_set, MivPinpointer, ModelTrainConfig, TierPredictor,

@@ -7,7 +7,7 @@
 
 use m3d_fault_loc::{
     apply_policy, backtrace, BacktraceConfig, FeatureExtractor, HeteroGraph, ModelTrainConfig,
-    PolicyConfig, Subgraph, TierPredictor,
+    PatternActivity, PolicyConfig, Subgraph, TierPredictor,
 };
 use m3d_gnn::GraphSample;
 use m3d_netlist::{generate, GeneratorConfig, PinRef};
@@ -53,6 +53,7 @@ fn collect_samples(
     n: usize,
     stride: usize,
 ) -> Vec<(Subgraph, Tdf)> {
+    let activity = PatternActivity::build(hetero, fsim.sim());
     let mut out = Vec::new();
     for f in tdf_list(stack.m3d.netlist()).into_iter().step_by(stride) {
         if out.len() >= n {
@@ -65,12 +66,11 @@ fn collect_samples(
         let sub = backtrace(
             hetero,
             features,
-            fsim.sim(),
+            &activity,
             fsim.obs(),
             None,
             &log,
             &BacktraceConfig::default(),
-            None,
         );
         if !sub.is_empty() {
             out.push((sub, f));

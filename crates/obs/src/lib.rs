@@ -12,7 +12,7 @@
 //!   enclosing one, and [`TraceCtx`] carries the causal position across
 //!   thread boundaries so each request's spans reconstruct into a tree.
 //! - **Counters and gauges** — [`counter!`] / [`gauge!`] (e.g.
-//!   `backtrace.nodes_visited`, `atpg.patterns_generated`,
+//!   `backtrace.activity_checks`, `atpg.patterns_generated`,
 //!   `policy.candidates_pruned`).
 //! - **Leveled structured logging** — [`error!`] … [`trace!`] on stderr,
 //!   filtered by the `M3D_LOG` environment variable

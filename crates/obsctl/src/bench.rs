@@ -329,8 +329,8 @@ pub fn compare(baseline: &BenchSnapshot, current: &BenchSnapshot, tol: Tolerance
 
 /// The wall-clock ratio `total_ms(slow) / total_ms(fast)` between two
 /// stages of one snapshot — the statistic behind the `m3d-obsctl speedup`
-/// gate (e.g. holding the sharded back-trace to ≥2x over the monolithic
-/// path at the paper scale).
+/// gate (e.g. holding the bitmap back-trace to ≥2x over the reference
+/// back-trace at the paper scale).
 ///
 /// # Errors
 ///

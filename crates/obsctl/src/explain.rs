@@ -96,12 +96,10 @@ fn render_audit(out: &mut String, a: &Audit) {
     if let (Some(nodes), Some(mivs)) = (a.num_of("subgraph_nodes"), a.num_of("subgraph_mivs")) {
         let _ = writeln!(
             out,
-            "  backtrace  {} node(s), {} MIV(s) (visited {}, activity checks {}, cone hits {}, dropped patterns {})",
+            "  backtrace  {} node(s), {} MIV(s) (activity checks {}, dropped patterns {})",
             fmt_num(nodes),
             fmt_num(mivs),
-            fmt_num(a.num_of("bt_nodes_visited").unwrap_or(0.0)),
             fmt_num(a.num_of("bt_activity_checks").unwrap_or(0.0)),
-            fmt_num(a.num_of("bt_cone_cache_hits").unwrap_or(0.0)),
             fmt_num(a.num_of("bt_dropped_patterns").unwrap_or(0.0)),
         );
     }
@@ -237,11 +235,16 @@ mod tests {
     }
 
     fn audit_record(trace_id: u64) -> Audit {
+        audit_record_with(trace_id, "")
+    }
+
+    /// An audit line with `extra` spliced in after the subgraph shape.
+    fn audit_record_with(trace_id: u64, extra: &str) -> Audit {
         let line = format!(
             "{{\"type\":\"audit\",\"trace_id\":{trace_id},\"design\":\"aes/base\",\
              \"log_entries\":5,\"log_valid\":true,\"subgraph_nodes\":120,\
-             \"subgraph_mivs\":14,\"bt_nodes_visited\":300,\"bt_activity_checks\":250,\
-             \"bt_cone_cache_hits\":12,\"bt_dropped_patterns\":0,\"features_finite\":true,\
+             \"subgraph_mivs\":14,{extra}\"bt_activity_checks\":250,\
+             \"bt_dropped_patterns\":0,\"features_finite\":true,\
              \"feature_mean\":0.0123,\"tier_probs\":[0.91,0.09],\"argmax_margin\":0.82,\
              \"predicted_tier\":0,\"confidence\":0.91,\"action\":\"reordered\",\
              \"kept_candidates\":14,\"dropped_candidates\":0,\"faulty_mivs\":1,\
@@ -276,6 +279,31 @@ mod tests {
         assert!(root_at < inf_at && inf_at < pol_at, "{text}");
         assert!(text.contains("design     aes/base"), "{text}");
         assert!(text.contains("degraded   no"), "{text}");
+        assert!(text.contains("tier probs [0.91, 0.09]"), "{text}");
+        assert!(
+            text.contains(
+                "backtrace  120 node(s), 14 MIV(s) (activity checks 250, dropped patterns 0)"
+            ),
+            "{text}"
+        );
+    }
+
+    /// Reports written before the bitmap back-trace carry two retired
+    /// work counters; they are ignored, not an error.
+    #[test]
+    fn audits_with_retired_backtrace_keys_still_render() {
+        let mut report = RunReport::default();
+        report.audits.push(audit_record_with(
+            4,
+            "\"bt_nodes_visited\":300,\"bt_cone_cache_hits\":12,",
+        ));
+        let text = explain(&report, 4).expect("old audit renders");
+        assert!(
+            text.contains(
+                "backtrace  120 node(s), 14 MIV(s) (activity checks 250, dropped patterns 0)"
+            ),
+            "{text}"
+        );
         assert!(text.contains("tier probs [0.91, 0.09]"), "{text}");
     }
 

@@ -155,24 +155,24 @@ fn shape_changes_are_reported_but_never_fail() {
 #[test]
 fn speedup_ratio_of_two_stage_totals() {
     let snap = snapshot(vec![
-        stage("paper.backtrace.mono", 600.0),    // total 2400 ms
-        stage("paper.backtrace.sharded", 200.0), // total 800 ms
+        stage("paper.backtrace.reference", 600.0), // total 2400 ms
+        stage("paper.backtrace", 200.0),           // total 800 ms
         stage("zero", 0.0),
     ]);
-    let ratio = bench::speedup(&snap, "paper.backtrace.mono", "paper.backtrace.sharded")
+    let ratio = bench::speedup(&snap, "paper.backtrace.reference", "paper.backtrace")
         .expect("both stages present");
     assert!((ratio - 3.0).abs() < 1e-12, "2400/800 = 3, got {ratio}");
     // Inverted ratios are legal (< 1.0): the gate threshold, not this
     // function, decides pass/fail.
-    let inv = bench::speedup(&snap, "paper.backtrace.sharded", "paper.backtrace.mono")
+    let inv = bench::speedup(&snap, "paper.backtrace", "paper.backtrace.reference")
         .expect("inverse ratio");
     assert!((inv - 1.0 / 3.0).abs() < 1e-12);
     assert!(
-        bench::speedup(&snap, "paper.backtrace.mono", "absent").is_err(),
+        bench::speedup(&snap, "paper.backtrace.reference", "absent").is_err(),
         "missing stage is a hard error, not a silent pass"
     );
     assert!(
-        bench::speedup(&snap, "paper.backtrace.mono", "zero").is_err(),
+        bench::speedup(&snap, "paper.backtrace.reference", "zero").is_err(),
         "zero-cost denominator cannot anchor a ratio"
     );
 }

@@ -54,7 +54,13 @@ pub struct ObsPoint {
 pub struct ObsPoints {
     points: Vec<ObsPoint>,
     flop_count: usize,
+    /// Gate index → its observation point's id, [`NOT_OBSERVING`] for
+    /// every other gate.
+    by_gate: Vec<u32>,
 }
+
+/// `by_gate` marker of a gate that observes nothing.
+const NOT_OBSERVING: u32 = u32::MAX;
 
 impl ObsPoints {
     /// Collects the observation points of `nl`.
@@ -92,7 +98,15 @@ impl ObsPoints {
                 net: nl.gate(tp).inputs[0],
             });
         }
-        ObsPoints { points, flop_count }
+        let mut by_gate = vec![NOT_OBSERVING; nl.gate_count()];
+        for (i, p) in points.iter().enumerate() {
+            by_gate[p.gate.index()] = i as u32;
+        }
+        ObsPoints {
+            points,
+            flop_count,
+            by_gate,
+        }
     }
 
     /// Total number of observation points.
@@ -139,12 +153,13 @@ impl ObsPoints {
             .map(|(i, &p)| (ObsId(i as u32), p))
     }
 
-    /// Finds the observation point attached to a given observing gate.
+    /// Finds the observation point attached to a given observing gate
+    /// (`None` for any other gate, including out-of-range ids).
     pub fn of_gate(&self, gate: GateId) -> Option<ObsId> {
-        self.points
-            .iter()
-            .position(|p| p.gate == gate)
-            .map(|i| ObsId(i as u32))
+        match self.by_gate.get(gate.index()) {
+            Some(&i) if i != NOT_OBSERVING => Some(ObsId(i)),
+            _ => None,
+        }
     }
 }
 
@@ -194,6 +209,12 @@ mod tests {
         for (id, p) in obs.iter() {
             assert_eq!(obs.of_gate(p.gate), Some(id));
         }
+        let plain = nl
+            .iter_gates()
+            .find(|(_, g)| !is_observing_kind(g.kind))
+            .map(|(id, _)| id)
+            .expect("a generated netlist has combinational gates");
+        assert_eq!(obs.of_gate(plain), None);
         assert_eq!(obs.of_gate(GateId(u32::MAX - 1)), None);
     }
 
