@@ -123,6 +123,8 @@ impl DiagnosisAudit {
         out.push_str(",\"t_update_ms\":");
         json_number(&mut out, self.t_update_ms);
         out.push('}');
+        // The obs registry keeps every audit line for the whole run.
+        out.shrink_to_fit();
         out
     }
 }
@@ -170,6 +172,12 @@ mod tests {
         assert!(!line.contains('\n'));
         assert!(line.contains("\"degrade_reason\":null"));
         assert!(line.contains("\"tier_probs\":[0.2"));
+    }
+
+    #[test]
+    fn audit_line_holds_no_spare_capacity() {
+        let line = audit().to_json_line();
+        assert_eq!(line.capacity(), line.len());
     }
 
     #[test]

@@ -15,8 +15,9 @@
 
 use crate::report::{Candidate, DiagnosisReport};
 use m3d_netlist::{topo, NetId, PinRef, ScanChains};
-use m3d_sim::{FailEntry, FailureLog, FaultSimulator, Polarity, Tdf};
-use std::collections::{BTreeMap, BTreeSet};
+use m3d_sim::{FailureLog, FaultSimulator, Polarity, Tdf};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Diagnosis tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,18 +95,9 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
         // the failures unexplained, another defect is present.
         if depth < 4 {
             if let Some(head) = report.candidates().first().copied() {
-                let sim: BTreeSet<FailEntry> = self
-                    .simulate_log(&[head.fault])
-                    .entries()
-                    .iter()
-                    .copied()
-                    .collect();
-                let residual: Vec<FailEntry> = log
-                    .entries()
-                    .iter()
-                    .copied()
-                    .filter(|e| !sim.contains(e))
-                    .collect();
+                let explained = self.simulate_log(&[head.fault]);
+                let mut residual = Vec::new();
+                merge_count(log.entries(), explained.entries(), |e| residual.push(e));
                 let sizable = residual.len() >= 2
                     && residual.len() < log.len()
                     && (residual.len() as f64) >= 0.15 * log.len() as f64;
@@ -129,6 +121,13 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
 
     /// Phase 1: suspect nets via transition-active cone intersection.
     ///
+    /// An entry's suspects are the nets driven inside the fan-in cones of
+    /// its candidate observers that transition under its pattern; the
+    /// result is the nets every entry suspects, or failing that the nets
+    /// at least `coverage_floor` of the entries suspect, in ascending
+    /// [`NetId`] order. Each distinct observer's cone is walked once per
+    /// call.
+    ///
     /// Corrupt log entries (out-of-range pattern numbers or observation
     /// points — tester logs are untrusted input) contribute no suspects:
     /// they are skipped with a `diagnosis.dropped.*` counter and a warning
@@ -138,7 +137,13 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
         let nl = self.fsim.netlist();
         let sim = self.fsim.sim();
         let pattern_cap = sim.pattern_capacity();
-        let mut counts: BTreeMap<NetId, u32> = BTreeMap::new();
+        // Per observer: the nets driven inside its fan-in cone, walked on
+        // first use.
+        let mut cones: Vec<Option<Vec<NetId>>> = vec![None; self.fsim.obs().len()];
+        // Per net: how many entries suspect it, and the 1-based number of
+        // the last entry that counted it.
+        let mut counts = vec![0u32; nl.net_count()];
+        let mut mark = vec![0u32; nl.net_count()];
         let mut used = 0u32;
         for entry in log.entries() {
             if entry.pattern as usize >= pattern_cap {
@@ -157,39 +162,38 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
                 // the healthy entries.
                 continue;
             }
-            let mut suspects: BTreeSet<NetId> = BTreeSet::new();
+            used += 1;
+            let (w, bit) = (entry.pattern as usize / 64, entry.pattern % 64);
+            let (v1, v2) = (sim.v1_row(w), sim.v2_row(w));
             for obs_id in observers {
-                let watched = self.fsim.obs().point(obs_id).net;
-                for (g, _) in topo::net_fanin_cone(nl, watched) {
-                    if let Some(out) = nl.gate(g).output {
-                        if sim.net_transition(out, entry.pattern as usize) {
-                            suspects.insert(out);
-                        }
+                let cone = cones[obs_id.index()].get_or_insert_with(|| {
+                    let watched = self.fsim.obs().point(obs_id).net;
+                    topo::net_fanin_cone(nl, watched)
+                        .into_iter()
+                        .filter_map(|(g, _)| nl.gate(g).output)
+                        .collect()
+                });
+                for &net in cone.iter() {
+                    let n = net.index();
+                    if mark[n] != used && ((v1[n] ^ v2[n]) >> bit) & 1 == 1 {
+                        mark[n] = used;
+                        counts[n] += 1;
                     }
                 }
             }
-            used += 1;
-            for n in suspects {
-                *counts.entry(n).or_insert(0) += 1;
-            }
         }
-        let total = used;
-        let exact: Vec<NetId> = counts
-            .iter()
-            .filter(|&(_, &c)| c == total)
-            .map(|(&n, _)| n)
-            .collect();
+        if used == 0 {
+            // Every count would equal `used`: no entry, no suspects.
+            return Vec::new();
+        }
+        let exact = nets_where(&counts, |c| c == used);
         if !exact.is_empty() {
             return exact;
         }
         // Multi-fault fallback: nets explaining a meaningful share of the
         // failures.
-        let floor = ((total as f64) * self.cfg.coverage_floor).ceil() as u32;
-        counts
-            .into_iter()
-            .filter(|&(_, c)| c >= floor.max(1))
-            .map(|(n, _)| n)
-            .collect()
+        let floor = ((used as f64) * self.cfg.coverage_floor).ceil() as u32;
+        nets_where(&counts, |c| c >= floor.max(1))
     }
 
     /// Phase 2a: expand nets to pin-level TDF candidates.
@@ -217,8 +221,8 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     /// Phase 2b/3: score candidates against the tester log and rank.
     fn score_and_rank(&self, log: &FailureLog, faults: Vec<Tdf>) -> DiagnosisReport {
         let nl = self.fsim.netlist();
-        let obs_set: BTreeSet<FailEntry> = log.entries().iter().copied().collect();
-        let n_obs = obs_set.len() as f64;
+        let observed = log.entries();
+        let n_obs = observed.len() as f64;
         let mut scored: Vec<Candidate> = Vec::new();
         for fault in faults {
             // Candidates from `expand_to_faults` always resolve, but
@@ -230,23 +234,21 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
                 continue;
             }
             let sim_log = self.simulate_log(&[fault]);
-            let sim_set: BTreeSet<FailEntry> = sim_log.entries().iter().copied().collect();
-            if sim_set.is_empty() {
+            let predicted = sim_log.entries();
+            if predicted.is_empty() {
                 continue;
             }
-            let tfsf = obs_set.intersection(&sim_set).count() as u32;
-            let tfsp = obs_set.difference(&sim_set).count() as u32;
-            let tpsf = sim_set.difference(&obs_set).count() as u32;
+            let tfsf = merge_count(observed, predicted, |_| {});
             if tfsf == 0 {
                 continue;
             }
             let cand = Candidate {
                 fault,
-                tfsf,
-                tfsp,
-                tpsf,
+                tfsf: tfsf as u32,
+                tfsp: (observed.len() - tfsf) as u32,
+                tpsf: (predicted.len() - tfsf) as u32,
             };
-            if cand.is_exact() || f64::from(tfsf) >= self.cfg.partial_floor * n_obs {
+            if cand.is_exact() || f64::from(cand.tfsf) >= self.cfg.partial_floor * n_obs {
                 scored.push(cand);
             }
         }
@@ -277,11 +279,43 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     }
 }
 
+/// The nets whose count passes `keep`, in ascending [`NetId`] order.
+fn nets_where(counts: &[u32], keep: impl Fn(u32) -> bool) -> Vec<NetId> {
+    (0..counts.len())
+        .filter(|&n| keep(counts[n]))
+        .map(|n| NetId(n as u32))
+        .collect()
+}
+
+/// Walks two sorted, deduplicated slices in step: calls `only_a` on each
+/// element of `a` missing from `b`, in order, and returns how many
+/// elements they share.
+fn merge_count<T: Ord + Copy>(a: &[T], b: &[T], mut only_a: impl FnMut(T)) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() {
+        match b.get(j).map(|y| a[i].cmp(y)) {
+            Some(Ordering::Greater) => j += 1,
+            Some(Ordering::Equal) => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+            Some(Ordering::Less) | None => {
+                only_a(a[i]);
+                i += 1;
+            }
+        }
+    }
+    shared
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use m3d_netlist::{generate, GeneratorConfig, Netlist};
-    use m3d_sim::{generate_patterns, tdf_list, AtpgConfig, PatternSet};
+    use m3d_sim::{generate_patterns, tdf_list, AtpgConfig, FailEntry, ObsId, PatternSet};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     struct Fixture {
         nl: Netlist,
@@ -462,6 +496,126 @@ mod tests {
         for f in detectable_faults(&fsim, 5, 29) {
             let report = diag.diagnose(&diag.simulate_log(&[f]));
             assert!(report.resolution() <= 3);
+        }
+    }
+
+    /// Phase 1 as first written: a fresh fan-in BFS per (entry, observer),
+    /// suspects in a `BTreeSet`, support in a `BTreeMap`. Also says whether
+    /// the coverage-floor fallback produced the answer.
+    fn reference_structural_candidates(
+        diag: &AtpgDiagnosis<'_, '_>,
+        log: &FailureLog,
+    ) -> (Vec<NetId>, bool) {
+        let nl = diag.fsim.netlist();
+        let sim = diag.fsim.sim();
+        let mut counts: BTreeMap<NetId, u32> = BTreeMap::new();
+        let mut used = 0u32;
+        for entry in log.entries() {
+            if entry.pattern as usize >= sim.pattern_capacity() {
+                continue;
+            }
+            let observers = FailureLog::candidate_observers(entry, diag.fsim.obs(), diag.chains);
+            if observers.is_empty() {
+                continue;
+            }
+            let mut suspects: BTreeSet<NetId> = BTreeSet::new();
+            for obs_id in observers {
+                let watched = diag.fsim.obs().point(obs_id).net;
+                for (g, _) in topo::net_fanin_cone(nl, watched) {
+                    if let Some(out) = nl.gate(g).output {
+                        if sim.net_transition(out, entry.pattern as usize) {
+                            suspects.insert(out);
+                        }
+                    }
+                }
+            }
+            used += 1;
+            for n in suspects {
+                *counts.entry(n).or_insert(0) += 1;
+            }
+        }
+        let exact: Vec<NetId> = counts
+            .iter()
+            .filter(|&(_, &c)| c == used)
+            .map(|(&n, _)| n)
+            .collect();
+        if !exact.is_empty() {
+            return (exact, false);
+        }
+        let floor = ((used as f64) * diag.cfg.coverage_floor).ceil() as u32;
+        let fallback = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= floor.max(1))
+            .map(|(n, _)| n)
+            .collect();
+        (fallback, true)
+    }
+
+    #[test]
+    fn structural_candidates_match_reference() {
+        let fx = fixture();
+        let chains = ScanChains::stitch(&fx.nl, 8, 4);
+        let fsim = FaultSimulator::new(&fx.nl, &fx.pats);
+        let mut floor_cases = 0;
+        for chains in [None, Some(&chains)] {
+            let diag = AtpgDiagnosis::new(&fsim, chains, DiagnosisConfig::default());
+            let singles = detectable_faults(&fsim, 10, 19);
+            let mut logs: Vec<FailureLog> =
+                singles.iter().map(|f| diag.simulate_log(&[*f])).collect();
+            // Multi-fault logs: sites far apart rarely share a suspect, so
+            // some of them take the coverage-floor branch.
+            for k in 0..6 {
+                let faults = detectable_faults(&fsim, 2 + k % 3, 37 + 13 * k);
+                logs.push(diag.simulate_log(&faults));
+            }
+            // A healthy log with corrupt entries riding along.
+            let mut entries = logs[0].entries().to_vec();
+            entries.push(FailEntry {
+                pattern: u32::MAX - 1,
+                obs: entries[0].obs,
+            });
+            entries.push(FailEntry {
+                pattern: 0,
+                obs: m3d_sim::FailObs::Direct(ObsId(9_999_999)),
+            });
+            logs.push(FailureLog::new(entries));
+            logs.push(FailureLog::default());
+            for (i, log) in logs.iter().enumerate() {
+                let (want, floor) = reference_structural_candidates(&diag, log);
+                assert_eq!(
+                    diag.structural_candidates(log),
+                    want,
+                    "log {i}, compacted {}",
+                    chains.is_some()
+                );
+                floor_cases += usize::from(floor && !want.is_empty());
+            }
+        }
+        assert!(floor_cases > 0, "no log exercised the coverage floor");
+    }
+
+    fn sorted_set() -> impl Strategy<Value = Vec<u16>> {
+        proptest::collection::vec(0u16..200, 0..60).prop_map(|mut v| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The merge counts what `BTreeSet` intersection counts and emits
+        /// what its difference yields, in order.
+        #[test]
+        fn merge_count_matches_btree_sets(a in sorted_set(), b in sorted_set()) {
+            let (sa, sb): (BTreeSet<u16>, BTreeSet<u16>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            let mut only_a = Vec::new();
+            let shared = merge_count(&a, &b, |x| only_a.push(x));
+            prop_assert_eq!(shared, sa.intersection(&sb).count());
+            prop_assert_eq!(only_a, sa.difference(&sb).copied().collect::<Vec<_>>());
+            prop_assert_eq!(b.len() - shared, sb.difference(&sa).count());
         }
     }
 }

@@ -15,7 +15,13 @@ use crate::netlist::Netlist;
 pub struct ScanChains {
     chains: Vec<Vec<GateId>>,
     compaction_ratio: usize,
+    /// Gate index → `(chain, position)` of its scan cell, [`UNSTITCHED`]
+    /// for every other gate.
+    slot: Vec<(u32, u32)>,
 }
+
+/// `slot` marker of a gate that is not in any chain.
+const UNSTITCHED: (u32, u32) = (u32::MAX, u32::MAX);
 
 impl ScanChains {
     /// Stitches the flops of `nl` into `n_chains` chains of near-equal
@@ -33,13 +39,16 @@ impl ScanChains {
         assert!(compaction_ratio > 0, "compaction ratio must be positive");
         let flops = nl.flops();
         let mut chains = vec![Vec::new(); n_chains.min(flops.len().max(1))];
+        let mut slot = vec![UNSTITCHED; nl.gate_count()];
         for (i, &ff) in flops.iter().enumerate() {
             let c = i % chains.len();
+            slot[ff.index()] = (c as u32, chains[c].len() as u32);
             chains[c].push(ff);
         }
         ScanChains {
             chains,
             compaction_ratio,
+            slot,
         }
     }
 
@@ -74,14 +83,13 @@ impl ScanChains {
         chain / self.compaction_ratio
     }
 
-    /// Locates a flop: returns `(chain, position)` if it is stitched.
+    /// Locates a flop: returns `(chain, position)` if it is stitched
+    /// (`None` for any other gate, including out-of-range ids).
     pub fn locate(&self, flop: GateId) -> Option<(usize, usize)> {
-        for (c, chain) in self.chains.iter().enumerate() {
-            if let Some(p) = chain.iter().position(|&f| f == flop) {
-                return Some((c, p));
-            }
+        match self.slot.get(flop.index()) {
+            Some(&(c, p)) if (c, p) != UNSTITCHED => Some((c as usize, p as usize)),
+            _ => None,
         }
-        None
     }
 
     /// All flops that share channel `channel` at scan position `pos`
@@ -144,6 +152,24 @@ mod tests {
                 assert_eq!(sc.locate(ff), Some((c, p)));
             }
         }
+    }
+
+    #[test]
+    fn locate_finds_every_flop_and_nothing_else() {
+        let nl = netlist_with_flops(37);
+        let sc = ScanChains::stitch(&nl, 5, 2);
+        for &ff in nl.flops() {
+            let (c, p) = sc.locate(ff).expect("every flop is stitched");
+            assert_eq!(sc.chains()[c][p], ff);
+        }
+        let plain = nl
+            .iter_gates()
+            .find(|(_, g)| !g.kind.is_sequential())
+            .map(|(id, _)| id)
+            .expect("a generated netlist has combinational gates");
+        assert_eq!(sc.locate(plain), None);
+        assert_eq!(sc.locate(GateId(nl.gate_count() as u32)), None);
+        assert_eq!(sc.locate(GateId(u32::MAX)), None);
     }
 
     #[test]

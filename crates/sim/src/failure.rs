@@ -11,7 +11,6 @@
 use crate::fsim::Detection;
 use crate::obs::{ObsId, ObsKind, ObsPoints};
 use m3d_netlist::ScanChains;
-use std::collections::BTreeMap;
 
 /// Where a failure was observed on the tester.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,7 +66,7 @@ impl FailureLog {
     /// Compacted log: flop detections are XOR-folded into channels; other
     /// observation points pass through.
     pub fn compacted(detections: &[Detection], obs: &ObsPoints, chains: &ScanChains) -> Self {
-        let mut parity: BTreeMap<(u32, u16, u16), u32> = BTreeMap::new();
+        let mut captures: Vec<(u32, u16, u16)> = Vec::new();
         let mut entries = Vec::new();
         for d in detections {
             let point = obs.point(d.obs);
@@ -76,9 +75,7 @@ impl FailureLog {
                     .locate(point.gate)
                     .expect("every flop is stitched into a chain");
                 let channel = chains.channel_of_chain(chain);
-                *parity
-                    .entry((d.pattern, channel as u16, pos as u16))
-                    .or_insert(0) += 1;
+                captures.push((d.pattern, channel as u16, pos as u16));
             } else {
                 entries.push(FailEntry {
                     pattern: d.pattern,
@@ -86,8 +83,12 @@ impl FailureLog {
                 });
             }
         }
-        for ((pattern, channel, position), count) in parity {
-            if count % 2 == 1 {
+        // An odd number of erroneous captures at one (pattern, channel,
+        // position) survives the XOR; an even number aliases to a pass.
+        captures.sort_unstable();
+        for run in captures.chunk_by(|a, b| a == b) {
+            if run.len() % 2 == 1 {
+                let (pattern, channel, position) = run[0];
                 entries.push(FailEntry {
                     pattern,
                     obs: FailObs::Channel { channel, position },

@@ -1,22 +1,48 @@
-//! Cone-limited bit-parallel fault simulation.
+//! Event-driven bit-parallel fault simulation.
 //!
 //! Injecting a TDF only perturbs the transitive fan-out of its site, so the
-//! simulator re-evaluates just that cone against the cached fault-free
-//! [`PatternSim`] values, 64 patterns at a time, with event-driven pruning
-//! (a gate whose recomputed output equals the fault-free value stops the
-//! wave).
+//! simulator replays the cached fault-free [`PatternSim`] values 64
+//! patterns at a time and re-evaluates only where the faulty circuit
+//! differs from them:
+//!
+//! - **Seeds.** Every gate hosting a fault site is evaluated in every word.
+//! - **Waves.** Any other gate is evaluated only when one of its input nets
+//!   holds a faulty value in this word. A gate whose recomputed output
+//!   equals the fault-free V2 word stops the wave; otherwise its loads are
+//!   scheduled. Gates leave a binary min-heap in topological order, so a
+//!   gate's faulty inputs are final before it reads them.
+//! - **Observers.** Flip-flops, primary outputs and test points that load a
+//!   faulty net are collected, never evaluated. At the end of the word each
+//!   one's captured value, with the faults on its own input pin applied, is
+//!   compared with V2 under the word's tail mask. A flop is evaluated only
+//!   as a seed, for a fault on its Q pin (a slow clock-to-Q delays the
+//!   launch transition on the Q net itself).
 //!
 //! Multi-site fault lists (MIV defects span several load pins; Table X
 //! injects 2–5 TDFs per tier) are simulated jointly in one faulty pass:
 //! activation masks use the faulty circuit's own site values, so
-//! downstream faults see upstream fault effects.
+//! downstream faults see upstream fault effects. The faults at one pin
+//! compose in fault-list order, a repeated polarity applying once: input
+//! pins act on the gathered input words, the output pin on the evaluated
+//! output.
+//!
+//! **Scratch.** A call takes its working memory from a free list on the
+//! simulator and returns it when done, so at most one scratch exists per
+//! concurrent caller: faulty net values and per-net word stamps
+//! (12 B/net), per-gate queued and observed stamps (8 B/gate), the heap
+//! and the word's observer list — about 2.2 MB at netcard scale 0.5. The
+//! stamps compare against an epoch that advances per simulated word, so
+//! nothing is cleared between words or calls; a full clear happens only
+//! when the `u32` epoch wraps.
 
 use crate::fault::Tdf;
-use crate::obs::{ObsId, ObsPoints};
+use crate::obs::{is_observing_kind, ObsId, ObsPoints};
 use crate::patterns::PatternSet;
 use crate::sim::PatternSim;
-use m3d_netlist::{topo, CellKind, GateId, Netlist, Pin};
-use std::collections::HashMap;
+use m3d_netlist::{topo, CellKind, GateId, NetId, Netlist, PinRef};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// One detected failure: pattern index and failing observation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,7 +60,22 @@ pub struct FaultSimulator<'a> {
     pats: &'a PatternSet,
     sim: PatternSim,
     obs: ObsPoints,
+    /// Topological position of every gate, and the gate at each position.
     topo_pos: Vec<u32>,
+    order: Vec<GateId>,
+    /// Scratch of finished calls, reused by the next ones.
+    spare: Mutex<Vec<Scratch>>,
+}
+
+/// How far [`FaultSimulator::run_fault`] goes after reporting a detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Simulate every word.
+    Never,
+    /// Finish the word that has the detection.
+    AfterWord,
+    /// Stop at once.
+    Now,
 }
 
 impl<'a> FaultSimulator<'a> {
@@ -57,6 +98,8 @@ impl<'a> FaultSimulator<'a> {
             sim,
             obs,
             topo_pos,
+            order,
+            spare: Mutex::new(Vec::new()),
         }
     }
 
@@ -84,7 +127,7 @@ impl<'a> FaultSimulator<'a> {
     /// sorted by `(pattern, obs)`.
     pub fn simulate(&self, faults: &[Tdf]) -> Vec<Detection> {
         let mut out = Vec::new();
-        self.run_fault(faults, &mut |w, obs, diff| {
+        self.run_fault(faults, Stop::Never, &mut |w, obs, diff| {
             let mut bits = diff;
             while bits != 0 {
                 let b = bits.trailing_zeros();
@@ -94,27 +137,19 @@ impl<'a> FaultSimulator<'a> {
                 });
                 bits &= bits - 1;
             }
-            false
         });
         out.sort_unstable();
-        out.dedup();
         out
     }
 
     /// Returns the lowest pattern index that detects the fault, if any.
     pub fn first_detecting_pattern(&self, faults: &[Tdf]) -> Option<u32> {
         let mut best: Option<u32> = None;
-        self.run_fault(faults, &mut |w, _obs, diff| {
+        // A later observer of the same word may fail at an earlier bit, but
+        // later words only hold larger indices.
+        self.run_fault(faults, Stop::AfterWord, &mut |w, _obs, diff| {
             let p = (w * 64) as u32 + diff.trailing_zeros();
-            best = Some(match best {
-                Some(b) => b.min(p),
-                None => p,
-            });
-            // Can't early-exit the whole run (a later obs in the same word
-            // may fail at an earlier bit), but whole later words can only
-            // yield larger indices, which run_fault exploits via the word
-            // cursor; returning false keeps scanning this word's obs set.
-            false
+            best = Some(best.map_or(p, |b| b.min(p)));
         });
         best
     }
@@ -122,158 +157,205 @@ impl<'a> FaultSimulator<'a> {
     /// Returns `true` if any pattern detects the fault.
     pub fn detects(&self, faults: &[Tdf]) -> bool {
         let mut hit = false;
-        self.run_fault(faults, &mut |_, _, _| {
-            hit = true;
-            true
-        });
+        self.run_fault(faults, Stop::Now, &mut |_, _, _| hit = true);
         hit
     }
 
-    /// Core cone-limited faulty evaluation. Calls `on_fail(word, obs, diff)`
-    /// for every observation point with a nonzero failing-pattern mask;
-    /// `on_fail` returning `true` aborts the remaining simulation.
-    fn run_fault(&self, faults: &[Tdf], on_fail: &mut dyn FnMut(usize, ObsId, u64) -> bool) {
+    /// Core event-driven faulty evaluation. Calls `on_fail(word, obs, diff)`
+    /// for every observation point with a nonzero failing-pattern mask, in
+    /// no particular order within a word, and stops as `stop` says.
+    fn run_fault(&self, faults: &[Tdf], stop: Stop, on_fail: &mut dyn FnMut(usize, ObsId, u64)) {
         if faults.is_empty() {
             return;
         }
-        // --- Collect the union fan-out cone, topologically sorted.
-        let mut cone: Vec<GateId> = Vec::new();
-        let mut seen = HashMap::new();
-        for f in faults {
-            for (g, _) in topo::fanout_cone(self.nl, f.site.gate) {
-                if seen.insert(g, ()).is_none() {
-                    cone.push(g);
-                }
-            }
-        }
-        cone.sort_unstable_by_key(|g| self.topo_pos[g.index()]);
-
-        // --- Override tables. Multiple faults can share a pin (e.g. a
-        // gross-delay defect is slow-to-rise AND slow-to-fall); their
-        // effects compose, so each pin keeps a polarity list.
-        let mut in_over: HashMap<(GateId, u8), Vec<crate::fault::Polarity>> = HashMap::new();
-        let mut out_over: HashMap<GateId, Vec<crate::fault::Polarity>> = HashMap::new();
-        for f in faults {
-            match f.site.pin {
-                Pin::Input(k) => {
-                    let list = in_over.entry((f.site.gate, k)).or_default();
-                    if !list.contains(&f.polarity) {
-                        list.push(f.polarity);
-                    }
-                }
-                Pin::Output => {
-                    let list = out_over.entry(f.site.gate).or_default();
-                    if !list.contains(&f.polarity) {
-                        list.push(f.polarity);
-                    }
-                }
-            }
-        }
-
-        // Observing gates inside the cone.
-        let observers: Vec<(ObsId, m3d_netlist::NetId)> = cone
-            .iter()
-            .filter_map(|&g| {
-                let kind = self.nl.gate(g).kind;
-                if matches!(
-                    kind,
-                    CellKind::ScanDff | CellKind::Dff | CellKind::Output | CellKind::ObsPoint
-                ) {
-                    self.obs
-                        .of_gate(g)
-                        .map(|id| (id, self.nl.gate(g).inputs[0]))
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        // --- Scratch with epoch stamping (shared across words).
-        let n_nets = self.nl.net_count();
-        let mut scratch = vec![0u64; n_nets];
-        let mut stamp = vec![u32::MAX; n_nets];
-        let mut in_words: Vec<u64> = Vec::with_capacity(4);
-
+        let mut s = self
+            .spare
+            .lock()
+            .expect("fault-sim scratch list poisoned")
+            .pop()
+            .unwrap_or_else(|| Scratch::new(self.nl.net_count(), self.nl.gate_count()));
         for w in 0..self.pats.word_count() {
-            let epoch = w as u32;
-            let mask = self.pats.tail_mask(w);
-            for &g in &cone {
-                let gate = self.nl.gate(g);
-                let kind = gate.kind;
-                if kind.is_sequential() {
-                    // A slow clock-to-Q fault delays the launch transition
-                    // on the flop's Q net itself.
-                    if let Some(pols) = out_over.get(&g) {
-                        let q = gate.output.expect("flop drives Q");
-                        let v1 = self.sim.v1(w, q);
-                        let mut out = self.sim.v2(w, q);
-                        for pol in pols {
-                            out = pol.apply(v1, out);
-                        }
-                        if out != self.sim.v2(w, q) {
-                            scratch[q.index()] = out;
-                            stamp[q.index()] = epoch;
-                        }
-                    }
-                    continue;
+            if self.run_word(faults, w, stop, &mut s, on_fail) && stop != Stop::Never {
+                break;
+            }
+        }
+        self.spare
+            .lock()
+            .expect("fault-sim scratch list poisoned")
+            .push(s);
+    }
+
+    /// Simulates word `w` and reports its failing observers; returns
+    /// whether there was one.
+    fn run_word(
+        &self,
+        faults: &[Tdf],
+        w: usize,
+        stop: Stop,
+        s: &mut Scratch,
+        on_fail: &mut dyn FnMut(usize, ObsId, u64),
+    ) -> bool {
+        let (v1, v2) = (self.sim.v1_row(w), self.sim.v2_row(w));
+        s.next_word();
+        for f in faults {
+            s.schedule(f.site.gate, &self.topo_pos);
+        }
+        let mut ins = [0u64; 4];
+        while let Some(Reverse(pos)) = s.heap.pop() {
+            let g = self.order[pos as usize];
+            let gate = self.nl.gate(g);
+            if is_observing_kind(gate.kind) {
+                // Only seeds are queued here: the fault sits on one of the
+                // observer's own pins.
+                s.observe(g, &self.obs);
+                if gate.kind.is_sequential() {
+                    let q = gate.output.expect("flop drives Q");
+                    let out = apply_faults(faults, PinRef::output(g), v1[q.index()], v2[q.index()]);
+                    self.propagate(s, q, out, v2);
                 }
-                if !kind.has_output() {
-                    continue; // observers produce nothing this cycle
-                }
-                let out_net = gate.output.expect("has_output");
-                // Gather (possibly faulty) input words.
-                in_words.clear();
-                for (k, &inp) in gate.inputs.iter().enumerate() {
-                    let mut v = if stamp[inp.index()] == epoch {
-                        scratch[inp.index()]
-                    } else {
-                        self.sim.v2(w, inp)
-                    };
-                    if let Some(pols) = in_over.get(&(g, k as u8)) {
-                        let v1 = self.sim.v1(w, inp);
-                        for pol in pols {
-                            v = pol.apply(v1, v);
-                        }
-                    }
-                    in_words.push(v);
-                }
-                let mut out = if kind == CellKind::Input {
-                    // PI values are held across launch; output equals V2.
-                    self.sim.v2(w, out_net)
+                continue;
+            }
+            let out_net = gate.output.expect("non-observing gates drive a net");
+            let hosts_fault = faults.iter().any(|f| f.site.gate == g);
+            for (k, &inp) in gate.inputs.iter().enumerate() {
+                let v = s.value(inp, v2);
+                ins[k] = if hosts_fault {
+                    apply_faults(faults, PinRef::input(g, k as u8), v1[inp.index()], v)
                 } else {
-                    kind.eval_words(&in_words)
+                    v
                 };
-                if let Some(pols) = out_over.get(&g) {
-                    let v1 = self.sim.v1(w, out_net);
-                    for pol in pols {
-                        out = pol.apply(v1, out);
-                    }
-                }
-                if out != self.sim.v2(w, out_net) {
-                    scratch[out_net.index()] = out;
-                    stamp[out_net.index()] = epoch;
+            }
+            let mut out = if gate.kind == CellKind::Input {
+                // PI values are held across launch; output equals V2.
+                v2[out_net.index()]
+            } else {
+                gate.kind.eval_words(&ins[..gate.inputs.len()])
+            };
+            if hosts_fault {
+                out = apply_faults(faults, PinRef::output(g), v1[out_net.index()], out);
+            }
+            self.propagate(s, out_net, out, v2);
+        }
+
+        let mask = self.pats.tail_mask(w);
+        let mut detected = false;
+        for &id in &s.observers {
+            let p = self.obs.point(id);
+            let v = s.value(p.net, v2);
+            let v = apply_faults(faults, PinRef::input(p.gate, 0), v1[p.net.index()], v);
+            let diff = (v ^ v2[p.net.index()]) & mask;
+            if diff != 0 {
+                on_fail(w, id, diff);
+                detected = true;
+                if stop == Stop::Now {
+                    break;
                 }
             }
-            // Faults directly on observer input pins (e.g. a TDF at a flop's
-            // D pin or a PO pin) perturb the captured value without any gate
-            // evaluation; fold them in here.
-            for (obs_id, net) in &observers {
-                let gate_id = self.obs.point(*obs_id).gate;
-                let mut v = if stamp[net.index()] == epoch {
-                    scratch[net.index()]
-                } else {
-                    self.sim.v2(w, *net)
-                };
-                if let Some(pols) = in_over.get(&(gate_id, 0)) {
-                    let v1 = self.sim.v1(w, *net);
-                    for pol in pols {
-                        v = pol.apply(v1, v);
-                    }
-                }
-                let diff = (v ^ self.sim.v2(w, *net)) & mask;
-                if diff != 0 && on_fail(w, *obs_id, diff) {
-                    return;
-                }
+        }
+        detected
+    }
+
+    /// Records `out` on `net` when it differs from the fault-free V2 word,
+    /// and then schedules the net's loads: observers are collected, any
+    /// other gate is queued.
+    fn propagate(&self, s: &mut Scratch, net: NetId, out: u64, v2: &[u64]) {
+        if out == v2[net.index()] {
+            return;
+        }
+        s.faulty[net.index()] = out;
+        s.net_epoch[net.index()] = s.epoch;
+        for &(load, _) in &self.nl.net(net).loads {
+            if is_observing_kind(self.nl.gate(load).kind) {
+                s.observe(load, &self.obs);
+            } else {
+                s.schedule(load, &self.topo_pos);
+            }
+        }
+    }
+}
+
+/// Applies the faults of `faults` sitting at `site` to the word `v`, in
+/// fault-list order; a polarity repeated at the same site applies once.
+#[inline]
+fn apply_faults(faults: &[Tdf], site: PinRef, v1: u64, mut v: u64) -> u64 {
+    for (i, f) in faults.iter().enumerate() {
+        if f.site == site && !faults[..i].contains(f) {
+            v = f.polarity.apply(v1, v);
+        }
+    }
+    v
+}
+
+/// One caller's working memory. Every stamp is compared with `epoch`,
+/// which advances per simulated word, so a word starts with no faulty
+/// net, no queued gate and no observer without clearing anything.
+#[derive(Debug)]
+struct Scratch {
+    epoch: u32,
+    /// Faulty value of each net, valid where `net_epoch` equals `epoch`.
+    faulty: Vec<u64>,
+    net_epoch: Vec<u32>,
+    /// Word in which each gate was last queued, and last collected as an
+    /// observer.
+    queued: Vec<u32>,
+    observed: Vec<u32>,
+    /// Queued gates by topological position.
+    heap: BinaryHeap<Reverse<u32>>,
+    /// The word's observers of a faulty net or of a fault on their own pin.
+    observers: Vec<ObsId>,
+}
+
+impl Scratch {
+    fn new(n_nets: usize, n_gates: usize) -> Self {
+        Scratch {
+            epoch: 0,
+            faulty: vec![0; n_nets],
+            net_epoch: vec![0; n_nets],
+            queued: vec![0; n_gates],
+            observed: vec![0; n_gates],
+            heap: BinaryHeap::new(),
+            observers: Vec::new(),
+        }
+    }
+
+    /// Starts a word: everything stamped in an earlier one goes stale.
+    fn next_word(&mut self) {
+        if self.epoch == u32::MAX {
+            self.net_epoch.fill(0);
+            self.queued.fill(0);
+            self.observed.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        // Left over only when a call stopped mid-word.
+        self.heap.clear();
+        self.observers.clear();
+    }
+
+    /// The word's value of `net`: faulty if recorded, else fault-free V2.
+    #[inline]
+    fn value(&self, net: NetId, v2: &[u64]) -> u64 {
+        if self.net_epoch[net.index()] == self.epoch {
+            self.faulty[net.index()]
+        } else {
+            v2[net.index()]
+        }
+    }
+
+    #[inline]
+    fn schedule(&mut self, g: GateId, topo_pos: &[u32]) {
+        if self.queued[g.index()] != self.epoch {
+            self.queued[g.index()] = self.epoch;
+            self.heap.push(Reverse(topo_pos[g.index()]));
+        }
+    }
+
+    #[inline]
+    fn observe(&mut self, g: GateId, obs: &ObsPoints) {
+        if self.observed[g.index()] != self.epoch {
+            self.observed[g.index()] = self.epoch;
+            if let Some(id) = obs.of_gate(g) {
+                self.observers.push(id);
             }
         }
     }

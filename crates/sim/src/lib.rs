@@ -2,7 +2,7 @@
 //!
 //! Scan-test simulation substrate: bit-parallel launch-on-capture (LOC)
 //! two-pattern logic simulation, the transition-delay-fault (TDF) model,
-//! cone-limited fault simulation, simulation-based ATPG with pattern
+//! event-driven fault simulation, simulation-based ATPG with pattern
 //! compaction, and tester failure-log generation with optional EDT-style
 //! XOR response compaction.
 //!

@@ -106,6 +106,12 @@ impl PatternSim {
         self.v2[w][net.index()]
     }
 
+    /// Full V1 row for word `w` (one value per net).
+    #[inline]
+    pub fn v1_row(&self, w: usize) -> &[u64] {
+        &self.v1[w]
+    }
+
     /// Full V2 row for word `w` (one value per net).
     #[inline]
     pub fn v2_row(&self, w: usize) -> &[u64] {
