@@ -146,6 +146,16 @@ else
         echo "ci.sh: expected exactly the malformed line to be rejected" >&2
         exit 1
     fi
+    # Backend invariance end to end: inference runs the dispatched
+    # kernels, so the same requests served under the scalar backend must
+    # answer byte for byte the same (confidence travels as hex f32 bits).
+    M3D_SIMD=scalar ./target/release/m3d-serve run \
+        --artifact "$SERVE_DIR/aes-syn1.m3da" --stdin --batch 8 \
+        < "$SERVE_DIR/requests.ndjson" > "$SERVE_DIR/responses-scalar.ndjson"
+    if ! cmp "$SERVE_DIR/responses.ndjson" "$SERVE_DIR/responses-scalar.ndjson"; then
+        echo "ci.sh: m3d-serve answers differ between the vector and scalar backends" >&2
+        exit 1
+    fi
 
     # The server's own telemetry: the flushed report parses strictly, the
     # live stream folds back into totals, and the per-design SLO budgets

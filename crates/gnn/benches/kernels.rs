@@ -1,12 +1,11 @@
-//! Microbenches for the dense/sparse kernel pairs behind the GCN training
-//! hot path: each allocating reference kernel against its vectorized
-//! write-into-destination twin (plus the scalar/vector/AVX2 backends
-//! head-to-head), at the shapes the diagnosis models actually run (a
-//! 600-node subgraph with 13 input features and the paper's 64/32-wide
-//! hidden layers). Honours `M3D_BENCH_SMOKE` via the criterion shim.
+//! Microbenches for the dense/sparse kernels behind the GCN training and
+//! inference hot paths: the scalar and vector backends head-to-head, at
+//! the shapes the diagnosis models actually run (a 600-node subgraph with
+//! 13 input features and the paper's 64/32-wide hidden layers). Honours
+//! `M3D_BENCH_SMOKE` via the criterion shim.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use m3d_gnn::{avx2_supported, force_simd_mode, Graph, Matrix, SimdMode};
+use m3d_gnn::{force_simd_mode, Graph, Matrix, SimdMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,16 +17,9 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     )
 }
 
-/// The kernel backends worth comparing on this host: the canonical scalar
-/// spec, the portable 8-lane vector kernels, and (where the CPU supports
-/// it) the opt-in AVX2+FMA path.
-fn backends() -> Vec<SimdMode> {
-    let mut modes = vec![SimdMode::Scalar, SimdMode::Vector];
-    if avx2_supported() {
-        modes.push(SimdMode::Avx2);
-    }
-    modes
-}
+/// The kernel backends: the canonical scalar spec and the portable 8-lane
+/// vector kernels.
+const BACKENDS: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Vector];
 
 /// Runs `f` with the kernel dispatch forced to `mode`, restoring
 /// env-driven dispatch afterwards.
@@ -48,12 +40,7 @@ fn bench_matmul(c: &mut Criterion) {
         let a = random_matrix(&mut rng, n, k);
         let b = random_matrix(&mut rng, k, m);
         let mut out = Matrix::default();
-        group.bench_with_input(
-            BenchmarkId::new("naive", format!("{n}x{k}x{m}")),
-            &(),
-            |be, ()| be.iter(|| black_box(&a).matmul(black_box(&b))),
-        );
-        for mode in backends() {
+        for mode in BACKENDS {
             with_mode(mode, || {
                 group.bench_with_input(
                     BenchmarkId::new(mode.name(), format!("{n}x{k}x{m}")),
@@ -91,7 +78,7 @@ fn bench_fused_relu(c: &mut Criterion) {
                 })
             },
         );
-        for mode in backends() {
+        for mode in BACKENDS {
             with_mode(mode, || {
                 group.bench_with_input(
                     BenchmarkId::new(mode.name(), format!("{n}x{k}x{m}")),
@@ -121,10 +108,7 @@ fn bench_matmul_tn(c: &mut Criterion) {
     let a = random_matrix(&mut rng, 600, 64);
     let b = random_matrix(&mut rng, 600, 32);
     let mut out = Matrix::default();
-    group.bench_function("naive/600x64x32", |be| {
-        be.iter(|| black_box(&a).matmul_tn(black_box(&b)))
-    });
-    for mode in backends() {
+    for mode in BACKENDS {
         with_mode(mode, || {
             group.bench_function(format!("{}/600x64x32", mode.name()), |be| {
                 be.iter(|| black_box(&a).matmul_tn_into(black_box(&b), &mut out))
@@ -143,10 +127,7 @@ fn bench_matmul_nt(c: &mut Criterion) {
     let a = random_matrix(&mut rng, 600, 32);
     let b = random_matrix(&mut rng, 64, 32);
     let mut out = Matrix::default();
-    group.bench_function("naive/600x32x64", |be| {
-        be.iter(|| black_box(&a).matmul_nt(black_box(&b)))
-    });
-    for mode in backends() {
+    for mode in BACKENDS {
         with_mode(mode, || {
             group.bench_function(format!("{}/600x32x64", mode.name()), |be| {
                 be.iter(|| black_box(&a).matmul_nt_into(black_box(&b), &mut out))
@@ -171,10 +152,7 @@ fn bench_spmm(c: &mut Criterion) {
     let mut out = Matrix::default();
     let mut group = c.benchmark_group("spmm");
     group.sample_size(30);
-    group.bench_function("naive/600x64", |be| {
-        be.iter(|| black_box(&adj).spmm(black_box(&x)))
-    });
-    for mode in backends() {
+    for mode in BACKENDS {
         with_mode(mode, || {
             group.bench_function(format!("{}/600x64", mode.name()), |be| {
                 be.iter(|| black_box(&adj).spmm_into(black_box(&x), &mut out))

@@ -2,7 +2,8 @@
 //!
 //! A [`Graph`] is an undirected node/edge set; [`NormAdj`] is its
 //! symmetrically-normalized adjacency `D^{-1/2} (A [+ I]) D^{-1/2}` in CSR
-//! form, the propagation operator of the paper's GCN layers.
+//! form, the propagation operator of the paper's GCN layers, applied by
+//! the dispatched [`NormAdj::spmm_into`] kernel.
 
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -129,35 +130,12 @@ impl NormAdj {
         self.n
     }
 
-    /// Sparse-dense product `Â @ x`.
+    /// Sparse-dense product `Â @ x` written into `out`, dispatched on
+    /// `M3D_SIMD`: per output element the neighbor terms accumulate in CSR
+    /// (ascending-index) order; the 8-lane backend only regroups columns.
     ///
     /// The operator is symmetric, so this also serves as `Âᵀ @ x` during
     /// backpropagation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != node_count()`.
-    pub fn spmm(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.rows(), self.n, "spmm shape mismatch");
-        let mut out = Matrix::zeros(self.n, x.cols());
-        let m = x.cols();
-        kernels::add_flops(2 * (self.values.len() * m) as u64);
-        kernels::scalar::spmm(
-            &self.indptr,
-            &self.indices,
-            &self.values,
-            x.as_slice(),
-            out.as_mut_slice(),
-            self.n,
-            m,
-        );
-        out
-    }
-
-    /// `Â @ x` written into `out` — the allocation-free, `M3D_SIMD`-
-    /// dispatched twin of [`NormAdj::spmm`], bit-identical to it: per
-    /// output element the neighbor terms accumulate in CSR
-    /// (ascending-index) order; the 8-lane backends only regroup columns.
     ///
     /// # Panics
     ///
@@ -188,6 +166,21 @@ impl NormAdj {
 mod tests {
     use super::*;
 
+    /// `a @ x` by the scalar oracle kernel, independent of `M3D_SIMD`.
+    fn oracle_spmm(a: &NormAdj, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.n, x.cols());
+        kernels::scalar::spmm(
+            &a.indptr,
+            &a.indices,
+            &a.values,
+            x.as_slice(),
+            out.as_mut_slice(),
+            a.n,
+            x.cols(),
+        );
+        out
+    }
+
     #[test]
     fn normalization_values_path_graph() {
         // 0 - 1 - 2 without self loops: deg = [1, 2, 1].
@@ -196,7 +189,7 @@ mod tests {
         assert_eq!(a.degree(0), 1);
         assert_eq!(a.degree(1), 2);
         let x = Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
-        let y = a.spmm(&x);
+        let y = oracle_spmm(&a, &x);
         // y0 = 1/sqrt(1*2) = .7071 ; y1 = 2/sqrt(2) = 1.4142 ; y2 = .7071
         assert!((y.get(0, 0) - 0.70710677).abs() < 1e-6);
         assert!((y.get(1, 0) - std::f32::consts::SQRT_2).abs() < 1e-6);
@@ -208,7 +201,7 @@ mod tests {
         let a = g.normalize(true);
         assert_eq!(a.degree(0), 2);
         let x = Matrix::from_vec(2, 1, vec![2.0, 4.0]);
-        let y = a.spmm(&x);
+        let y = oracle_spmm(&a, &x);
         // deg = [2,2]; y0 = 2/2 + 4/2 = 3.
         assert!((y.get(0, 0) - 3.0).abs() < 1e-6);
     }
@@ -227,8 +220,8 @@ mod tests {
         // Check symmetry via random vectors: xᵀ(Ay) == (Ax)ᵀy.
         let x = Matrix::xavier(4, 1, 1);
         let y = Matrix::xavier(4, 1, 2);
-        let ay = a.spmm(&y);
-        let ax = a.spmm(&x);
+        let ay = oracle_spmm(&a, &y);
+        let ax = oracle_spmm(&a, &x);
         let lhs: f32 = (0..4).map(|i| x.get(i, 0) * ay.get(i, 0)).sum();
         let rhs: f32 = (0..4).map(|i| ax.get(i, 0) * y.get(i, 0)).sum();
         assert!((lhs - rhs).abs() < 1e-5);
@@ -239,10 +232,10 @@ mod tests {
         let g = Graph::from_edges(2, vec![]);
         let a = g.normalize(false);
         let x = Matrix::from_vec(2, 1, vec![5.0, 6.0]);
-        let y = a.spmm(&x);
+        let y = oracle_spmm(&a, &x);
         assert_eq!(y.get(0, 0), 0.0);
         let al = g.normalize(true);
-        let yl = al.spmm(&x);
+        let yl = oracle_spmm(&al, &x);
         assert_eq!(yl.get(0, 0), 5.0);
     }
 
@@ -265,7 +258,7 @@ mod tests {
             let g = Graph::from_edges(n, edges);
             let a = g.normalize(true);
             let x = Matrix::xavier(n, cols, 21);
-            let reference = a.spmm(&x);
+            let reference = oracle_spmm(&a, &x);
             let mut out = Matrix::default();
             a.spmm_into(&x, &mut out);
             assert_eq!(out, reference, "cols={cols}");

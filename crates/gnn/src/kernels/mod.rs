@@ -2,11 +2,10 @@
 //!
 //! # The canonical numeric contract (lane-order)
 //!
-//! Every matmul/spmm backend — scalar, 8-lane vector, and the opt-in
-//! AVX2 path — must produce **bit-identical** `f32` results for the
-//! same inputs (AVX2 excepted: FMA contracts the rounding, which is
-//! why it is never auto-selected). The contract that makes this
-//! possible fixes the *accumulation order* per output element:
+//! Both matmul/spmm backends — scalar and 8-lane vector — produce
+//! **bit-identical** `f32` results for the same inputs. The contract
+//! that makes this possible fixes the *accumulation order* per output
+//! element:
 //!
 //! * **NN** (`A·B`), **TN** (`Aᵀ·B`) and **spmm** (`Â·X`): each output
 //!   element accumulates its shared-dimension products in strictly
@@ -18,7 +17,7 @@
 //!   (`av != 0.0`, so ±0.0 both skip and `NaN` in `A` still
 //!   propagates) — ReLU-sparse activations and sparse circuit features
 //!   make most products zero, one branch elides a whole row of work,
-//!   and every backend elides the identical set, so bit-identity is
+//!   and both backends elide the identical set, so bit-identity is
 //!   unaffected. spmm stays dense (its values are normalization
 //!   weights, never zero in practice).
 //! * **NT** (`A·Bᵀ`): both operands are row-major over `k`, so one
@@ -37,33 +36,31 @@
 //! |------------------|------------------------------------------------|
 //! | *(unset)*, `on`  | `Vector` — 8-lane unrolled, autovectorized     |
 //! | `off`, `scalar`  | `Scalar` — plain loops, same order             |
-//! | `avx2`           | `Avx2` if AVX2+FMA detected, else warn+`Vector`|
 //!
-//! The selected backend is logged once (at `info` level) on first use.
-//! The `Vector` backend additionally compiles each kernel body twice —
-//! baseline ISA and an AVX2-target twin picked by runtime detection.
-//! The twin is the same Rust code (the feature gate widens registers,
-//! never enables FMA), so it stays bit-identical and needs no opt-in.
-//! The separate `Avx2` backend uses `_mm256_fmadd_ps`, whose single
-//! rounding differs from mul-then-add, so its results are close but
-//! **not** bit-identical; it is an explicit opt-in for
-//! throughput-over-reproducibility runs.
+//! Any other value warns and uses `Vector`. The selected backend is
+//! logged once (at `info` level) on first use. The `Vector` backend
+//! compiles each kernel body twice — baseline ISA and an AVX2-target
+//! twin picked by runtime detection. The twin is the same Rust code
+//! (the feature gate widens registers, never enables FMA), so it stays
+//! bit-identical and needs no opt-in.
+//!
+//! [`scalar`] is the oracle: tests call it directly or force the
+//! `Scalar` backend, and every public kernel — training and inference
+//! alike — runs through the dispatch below.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2;
 pub(crate) mod scalar;
 pub(crate) mod vector;
 
 /// Environment variable selecting the kernel backend
-/// (`off|scalar|on|avx2`; unset means the default `Vector` backend).
+/// (`off|scalar|on`; unset means the default `Vector` backend).
 pub const SIMD_ENV: &str = "M3D_SIMD";
 
-/// Vector width of the canonical kernels: all backends work in 8-wide
-/// `f32` groups (one AVX2 register, two SSE registers, or an unrolled
-/// `[f32; 8]` the autovectorizer lowers to the same).
+/// Vector width of the canonical kernels: both backends work in 8-wide
+/// `f32` groups (an unrolled `[f32; 8]` the autovectorizer lowers to one
+/// AVX2 register or two SSE registers).
 pub const LANES: usize = 8;
 
 /// The kernel backend executing the dense/spmm hot paths.
@@ -74,9 +71,6 @@ pub enum SimdMode {
     /// 8-lane unrolled-array kernels (stable Rust, autovectorized).
     /// Bit-identical to `Scalar`. The default.
     Vector,
-    /// `std::arch` AVX2+FMA intrinsics. Fastest, but FMA rounding
-    /// breaks bit-identity with the other two — opt-in only.
-    Avx2,
 }
 
 impl SimdMode {
@@ -85,7 +79,6 @@ impl SimdMode {
         match self {
             SimdMode::Scalar => "scalar",
             SimdMode::Vector => "vector",
-            SimdMode::Avx2 => "avx2",
         }
     }
 }
@@ -96,40 +89,16 @@ impl std::fmt::Display for SimdMode {
     }
 }
 
-/// Whether the running CPU supports the opt-in AVX2+FMA backend.
-pub fn avx2_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Pure resolution of a [`SIMD_ENV`] spec to a mode, plus an optional
 /// warning explaining a fallback. `None` means the variable was unset.
 pub(crate) fn resolve_spec(spec: Option<&str>) -> (SimdMode, Option<String>) {
     match spec.map(str::trim) {
         None | Some("") | Some("on") | Some("vector") | Some("auto") => (SimdMode::Vector, None),
         Some("off") | Some("scalar") => (SimdMode::Scalar, None),
-        Some("avx2") => {
-            if avx2_supported() {
-                (SimdMode::Avx2, None)
-            } else {
-                (
-                    SimdMode::Vector,
-                    Some(format!(
-                        "{SIMD_ENV}=avx2 requested but AVX2+FMA not detected; using vector backend"
-                    )),
-                )
-            }
-        }
         Some(other) => (
             SimdMode::Vector,
             Some(format!(
-                "unknown {SIMD_ENV}={other:?} (expected off|scalar|on|avx2); using vector backend"
+                "unknown {SIMD_ENV}={other:?} (expected off|scalar|on); using vector backend"
             )),
         ),
     }
@@ -139,7 +108,7 @@ pub(crate) fn resolve_spec(spec: Option<&str>) -> (SimdMode, Option<String>) {
 static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static ENV_MODE: OnceLock<SimdMode> = OnceLock::new();
 
-/// The kernel backend in effect for dispatched `*_into` kernels.
+/// The kernel backend in effect for every dense/spmm kernel.
 ///
 /// Resolved once from [`SIMD_ENV`] (logging the selection), unless a
 /// test/bench override installed via `force_simd_mode` is active.
@@ -147,7 +116,6 @@ pub fn simd_mode() -> SimdMode {
     match MODE_OVERRIDE.load(Ordering::Relaxed) {
         1 => return SimdMode::Scalar,
         2 => return SimdMode::Vector,
-        3 => return SimdMode::Avx2,
         _ => {}
     }
     *ENV_MODE.get_or_init(|| {
@@ -162,22 +130,13 @@ pub fn simd_mode() -> SimdMode {
 }
 
 /// Force the kernel backend for tests and benches, bypassing the env
-/// resolution. `None` restores env-driven dispatch. Forcing
-/// [`SimdMode::Avx2`] on a CPU without AVX2+FMA clamps to `Vector`
-/// rather than executing unsupported instructions.
+/// resolution. `None` restores env-driven dispatch.
 #[doc(hidden)]
 pub fn force_simd_mode(mode: Option<SimdMode>) {
     let code = match mode {
         None => 0,
         Some(SimdMode::Scalar) => 1,
         Some(SimdMode::Vector) => 2,
-        Some(SimdMode::Avx2) => {
-            if avx2_supported() {
-                3
-            } else {
-                2
-            }
-        }
     };
     MODE_OVERRIDE.store(code, Ordering::Relaxed);
 }
@@ -200,9 +159,8 @@ pub fn kernel_flops() -> u64 {
 }
 
 /// The canonical NT lane combine: a fixed binary tree over the 8
-/// interleaved partial sums. Matches the AVX2 horizontal-add sequence
-/// (`vextractf128` + `movhlps` + shuffle), so the intrinsic path can
-/// share the order even though its per-lane rounding differs.
+/// interleaved partial sums, folding the high half onto the low half at
+/// each level (8 → 4 → 2 → 1). Both backends call this one function.
 #[inline(always)]
 pub(crate) fn reduce8(l: [f32; 8]) -> f32 {
     let s0 = l[0] + l[4];
@@ -231,7 +189,6 @@ pub(crate) fn matmul_nn(
     match simd_mode() {
         SimdMode::Scalar => scalar::matmul_nn(a, b, out, n, kk, m, bias, relu_out),
         SimdMode::Vector => vector::matmul_nn(a, b, out, n, kk, m, bias, relu_out),
-        SimdMode::Avx2 => avx2_nn(a, b, out, n, kk, m, bias, relu_out),
     }
 }
 
@@ -241,7 +198,6 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], n: usize, kk: usi
     match simd_mode() {
         SimdMode::Scalar => scalar::matmul_tn(a, b, out, n, kk, m),
         SimdMode::Vector => vector::matmul_tn(a, b, out, n, kk, m),
-        SimdMode::Avx2 => avx2_tn(a, b, out, n, kk, m),
     }
 }
 
@@ -252,7 +208,6 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], n: usize, kk: usi
     match simd_mode() {
         SimdMode::Scalar => scalar::matmul_nt(a, b, out, n, kk, m),
         SimdMode::Vector => vector::matmul_nt(a, b, out, n, kk, m),
-        SimdMode::Avx2 => avx2_nt(a, b, out, n, kk, m),
     }
 }
 
@@ -273,67 +228,7 @@ pub(crate) fn spmm(
     match simd_mode() {
         SimdMode::Scalar => scalar::spmm(indptr, indices, values, x, out, n, m),
         SimdMode::Vector => vector::spmm(indptr, indices, values, x, out, n, m),
-        SimdMode::Avx2 => avx2_spmm(indptr, indices, values, x, out, n, m),
     }
-}
-
-// On x86_64 the Avx2 arm is only reachable when detection succeeded
-// (resolve_spec / force_simd_mode clamp otherwise), which is exactly
-// the safety contract of the `#[target_feature]` kernels. Elsewhere
-// the mode is unrepresentable; fall back to vector to keep the match
-// total.
-#[allow(clippy::too_many_arguments)]
-fn avx2_nn(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    n: usize,
-    kk: usize,
-    m: usize,
-    bias: Option<&[f32]>,
-    relu_out: Option<&mut [f32]>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        avx2::matmul_nn(a, b, out, n, kk, m, bias, relu_out)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    vector::matmul_nn(a, b, out, n, kk, m, bias, relu_out)
-}
-
-fn avx2_tn(a: &[f32], b: &[f32], out: &mut [f32], n: usize, kk: usize, m: usize) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        avx2::matmul_tn(a, b, out, n, kk, m)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    vector::matmul_tn(a, b, out, n, kk, m)
-}
-
-fn avx2_nt(a: &[f32], b: &[f32], out: &mut [f32], n: usize, kk: usize, m: usize) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        avx2::matmul_nt(a, b, out, n, kk, m)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    vector::matmul_nt(a, b, out, n, kk, m)
-}
-
-fn avx2_spmm(
-    indptr: &[u32],
-    indices: &[u32],
-    values: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-    n: usize,
-    m: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        avx2::spmm(indptr, indices, values, x, out, n, m)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    vector::spmm(indptr, indices, values, x, out, n, m)
 }
 
 #[cfg(test)]
@@ -348,16 +243,11 @@ mod tests {
         assert_eq!(resolve_spec(Some("vector")), (SimdMode::Vector, None));
         assert_eq!(resolve_spec(Some("off")), (SimdMode::Scalar, None));
         assert_eq!(resolve_spec(Some("scalar")), (SimdMode::Scalar, None));
-        let (mode, warn) = resolve_spec(Some("avx2"));
-        if avx2_supported() {
-            assert_eq!((mode, warn), (SimdMode::Avx2, None));
-        } else {
+        for unknown in ["avx2", "bogus"] {
+            let (mode, warn) = resolve_spec(Some(unknown));
             assert_eq!(mode, SimdMode::Vector);
-            assert!(warn.expect("fallback warns").contains("not detected"));
+            assert!(warn.expect("unknown spec warns").contains(unknown));
         }
-        let (mode, warn) = resolve_spec(Some("bogus"));
-        assert_eq!(mode, SimdMode::Vector);
-        assert!(warn.expect("unknown spec warns").contains("bogus"));
     }
 
     #[test]

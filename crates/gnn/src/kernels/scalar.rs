@@ -1,11 +1,10 @@
 //! The canonical scalar backend: the executable specification of the
 //! lane-order contract (see the module docs of [`super`]).
 //!
-//! Plain loops, no blocking. Every dispatched backend must match these
-//! kernels bit-for-bit (AVX2 excepted, by documented FMA exemption).
-//! The allocating reference kernels on [`crate::Matrix`] also route
-//! here unconditionally, so the "oracle" results never depend on the
-//! `M3D_SIMD` dispatch.
+//! Plain loops, no blocking. The vector backend must match these
+//! kernels bit-for-bit. They are the kernel oracle: tests call them
+//! directly (independent of the `M3D_SIMD` dispatch) or force the
+//! `Scalar` backend.
 
 use super::{reduce8, LANES};
 

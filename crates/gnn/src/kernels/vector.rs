@@ -26,9 +26,7 @@
 //! CPU has AVX2. The twin runs the *same* Rust code — the feature gate
 //! only widens the autovectorizer's registers to 256 bits and never
 //! enables FMA — so both copies round identically and the backend stays
-//! bit-identical to the scalar spec either way. (The separate
-//! [`super::avx2`] backend is the one that changes rounding, via
-//! explicit `_mm256_fmadd_ps`, and remains opt-in.)
+//! bit-identical to the scalar spec either way.
 
 // SAFETY: the only unsafe here is calling the `#[target_feature]` AVX2
 // shells, and every call site is gated on runtime AVX2 detection.

@@ -36,29 +36,26 @@ impl GcnLayer {
     }
 
     /// Forward pass; returns `(z, ax)` where `ax = Â x` is cached for the
-    /// backward pass.
+    /// backward pass. [`GcnLayer::forward_into`] on fresh buffers.
     pub fn forward(&self, adj: &NormAdj, x: &Matrix) -> (Matrix, Matrix) {
-        let ax = adj.spmm(x);
-        let mut z = ax.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
+        let (mut z, mut ax) = (Matrix::default(), Matrix::default());
+        self.forward_into(adj, x, &mut ax, &mut z);
         (z, ax)
     }
 
     /// Backward pass: given `dz = ∂L/∂z` and the cached `ax`, returns
-    /// `(dw, db, dx)`.
+    /// `(dw, db, dx)`. [`GcnLayer::backward_into`] on fresh buffers.
     ///
     /// `Â` is symmetric, so `∂L/∂x = Â (dz Wᵀ)`.
     pub fn backward(&self, adj: &NormAdj, ax: &Matrix, dz: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
-        let dw = ax.matmul_tn(dz);
-        let db = dz.sum_rows().as_slice().to_vec();
-        let dax = dz.matmul_nt(&self.w);
-        let dx = adj.spmm(&dax);
+        let (mut dw, mut db) = (Matrix::default(), Vec::new());
+        let (mut dax, mut dx) = (Matrix::default(), Matrix::default());
+        self.backward_into(adj, ax, dz, &mut dw, &mut db, Some((&mut dax, &mut dx)));
         (dw, db, dx)
     }
 
     /// [`GcnLayer::forward`] on preallocated buffers: `ax` receives `Â x`,
     /// `z` the pre-activation (bias fused into the matmul epilogue).
-    /// Bit-identical to the allocating form.
     pub fn forward_into(&self, adj: &NormAdj, x: &Matrix, ax: &mut Matrix, z: &mut Matrix) {
         adj.spmm_into(x, ax);
         self.forward_from_ax_into(ax, z);
@@ -142,18 +139,18 @@ impl Linear {
         self.w.rows()
     }
 
-    /// Forward pass.
+    /// Forward pass: [`Linear::forward_into`] on a fresh buffer.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.w);
-        z.add_row_broadcast(&self.b);
+        let mut z = Matrix::default();
+        self.forward_into(x, &mut z);
         z
     }
 
-    /// Backward pass: returns `(dw, db, dx)` for `dz = ∂L/∂z`.
+    /// Backward pass: returns `(dw, db, dx)` for `dz = ∂L/∂z`
+    /// ([`Linear::backward_into`] on fresh buffers).
     pub fn backward(&self, x: &Matrix, dz: &Matrix) -> (Matrix, Vec<f32>, Matrix) {
-        let dw = x.matmul_tn(dz);
-        let db = dz.sum_rows().as_slice().to_vec();
-        let dx = dz.matmul_nt(&self.w);
+        let (mut dw, mut db, mut dx) = (Matrix::default(), Vec::new(), Matrix::default());
+        self.backward_into(x, dz, &mut dw, &mut db, Some(&mut dx));
         (dw, db, dx)
     }
 

@@ -46,7 +46,7 @@ pub use explain::{permutation_significance, stack_features, FeatureSignificance}
 pub use graph::{Graph, NormAdj};
 #[doc(hidden)]
 pub use kernels::force_simd_mode;
-pub use kernels::{avx2_supported, kernel_flops, simd_mode, SimdMode, LANES, SIMD_ENV};
+pub use kernels::{kernel_flops, simd_mode, SimdMode, LANES, SIMD_ENV};
 pub use layers::{relu_backward, GcnLayer, Linear};
 pub use loss::{argmax, cross_entropy, cross_entropy_into, softmax_row, softmax_row_into};
 pub use matrix::{Matrix, ShapeError};

@@ -3,19 +3,14 @@
 //! small (tens to hundreds of nodes), so hand-rolled loops outperform any
 //! heavyweight dependency here.
 //!
-//! Two kernel families coexist:
-//!
-//! - the allocating operations ([`Matrix::matmul`], [`Matrix::matmul_tn`],
-//!   [`Matrix::matmul_nt`], …) — always executed by the canonical scalar
-//!   backend, kept as the *reference oracle* regardless of the `M3D_SIMD`
-//!   dispatch, and
-//! - vectorized `*_into` kernels ([`Matrix::matmul_into`],
-//!   [`Matrix::matmul_bias_relu_into`], …) that write into a caller-owned
-//!   destination and dispatch to the 8-lane backend family in
-//!   [`crate::kernels`]. Every backend honors the **canonical lane-order
-//!   contract** (see the `kernels` module docs), so scalar-vs-vector
-//!   results are bit-identical — the determinism contract of DESIGN.md
-//!   extends down to the kernels.
+//! Every product writes into a caller-owned destination (the `*_into`
+//! family: [`Matrix::matmul_into`], [`Matrix::matmul_bias_relu_into`], …)
+//! and dispatches to the 8-lane backend family in [`crate::kernels`], for
+//! training and inference alike. Both backends honor the **canonical
+//! lane-order contract** (see the `kernels` module docs), so
+//! scalar-vs-vector results are bit-identical — the determinism contract
+//! of DESIGN.md extends down to the kernels. The scalar backend is the
+//! oracle: tests call it directly or force it.
 //!
 //! The `*_into` family never allocates when the destination's capacity
 //! suffices ([`Matrix::reset`] keeps the backing `Vec`'s allocation), which
@@ -167,74 +162,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self @ other` — allocating reference, always the canonical scalar
-    /// backend (independent of `M3D_SIMD`), bit-identical to
-    /// [`Matrix::matmul_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        kernels::add_flops(2 * (self.rows * self.cols * other.cols) as u64);
-        kernels::scalar::matmul_nn(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-            None,
-            None,
-        );
-        out
-    }
-
-    /// `selfᵀ @ other` without materializing the transpose — allocating
-    /// canonical-scalar reference, bit-identical to
-    /// [`Matrix::matmul_tn_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        kernels::add_flops(2 * (self.cols * self.rows * other.cols) as u64);
-        kernels::scalar::matmul_tn(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.cols,
-            self.rows,
-            other.cols,
-        );
-        out
-    }
-
-    /// `self @ otherᵀ` without materializing the transpose — allocating
-    /// canonical-scalar reference (including the NT lane-split order),
-    /// bit-identical to [`Matrix::matmul_nt_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        kernels::add_flops(2 * (self.rows * self.cols * other.rows) as u64);
-        kernels::scalar::matmul_nt(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.rows,
-        );
-        out
-    }
-
     /// Adds `other` element-wise in place.
     ///
     /// # Panics
@@ -350,9 +277,9 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// `self @ other` written into `out` — the allocation-free, `M3D_SIMD`-
-    /// dispatched twin of [`Matrix::matmul`], bit-identical to it under the
-    /// canonical lane-order contract.
+    /// `self @ other` written into `out`, dispatched on `M3D_SIMD` (per
+    /// output element the shared dimension is accumulated ascending from
+    /// `+0.0`, broadcast-`A` zeros skipped).
     ///
     /// # Panics
     ///
@@ -432,9 +359,9 @@ impl Matrix {
         );
     }
 
-    /// `selfᵀ @ other` written into `out` — allocation-free, dispatched,
-    /// and bit-identical to [`Matrix::matmul_tn`] (per output element the
-    /// shared dimension `r` is accumulated ascending from `+0.0`).
+    /// `selfᵀ @ other` written into `out` without materializing the
+    /// transpose (per output element the shared dimension `r` is
+    /// accumulated ascending from `+0.0`).
     ///
     /// # Panics
     ///
@@ -453,10 +380,9 @@ impl Matrix {
     }
 
     /// `self @ otherᵀ` written into `out`, streaming `other`'s rows
-    /// directly — no transpose scratch. Bit-identical to
-    /// [`Matrix::matmul_nt`]: both sides walk the shared dimension
-    /// row-major, so each output element follows the canonical NT
-    /// lane-split order (8 interleaved partial sums folded by the fixed
+    /// directly — no transpose scratch. Both sides walk the shared
+    /// dimension row-major, so each output element follows the canonical
+    /// NT lane-split order (8 interleaved partial sums folded by the fixed
     /// reduction tree).
     ///
     /// # Panics
@@ -568,6 +494,28 @@ mod tests {
         Matrix::from_vec(r, c, v.to_vec())
     }
 
+    /// `a @ b` by the scalar oracle kernel, independent of `M3D_SIMD`.
+    fn oracle_nn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        let (n, k, m) = (a.rows, a.cols, b.cols);
+        kernels::scalar::matmul_nn(&a.data, &b.data, &mut out.data, n, k, m, None, None);
+        out
+    }
+
+    /// `aᵀ @ b` by the scalar oracle kernel.
+    fn oracle_tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        kernels::scalar::matmul_tn(&a.data, &b.data, &mut out.data, a.cols, a.rows, b.cols);
+        out
+    }
+
+    /// `a @ bᵀ` by the scalar oracle kernel.
+    fn oracle_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        kernels::scalar::matmul_nt(&a.data, &b.data, &mut out.data, a.rows, a.cols, b.rows);
+        out
+    }
+
     #[test]
     fn has_non_finite_detects_nan_and_inf() {
         let mut a = m(2, 2, &[1., 2., 3., 4.]);
@@ -583,7 +531,7 @@ mod tests {
     fn matmul_basic() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, &[7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = oracle_nn(&a, &b);
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
     }
 
@@ -592,7 +540,7 @@ mod tests {
         let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, &[1., 0., 0., 1., 1., 1.]);
         // aᵀ b where aᵀ is 2x3.
-        let c = a.matmul_tn(&b);
+        let c = oracle_tn(&a, &b);
         assert_eq!(c.rows(), 2);
         assert_eq!(c.cols(), 2);
         // aᵀ = [[1,3,5],[2,4,6]]; aᵀb = [[1+0+5, 0+3+5],[2+0+6, 0+4+6]]
@@ -603,7 +551,7 @@ mod tests {
     fn matmul_nt_matches() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(2, 3, &[1., 1., 1., 0., 1., 0.]);
-        let c = a.matmul_nt(&b);
+        let c = oracle_nt(&a, &b);
         assert_eq!(c.as_slice(), &[6., 2., 15., 5.]);
     }
 
@@ -645,7 +593,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matmul shape mismatch")]
     fn matmul_shape_checked() {
-        m(2, 2, &[0.; 4]).matmul(&m(3, 1, &[0.; 3]));
+        m(2, 2, &[0.; 4]).matmul_into(&m(3, 1, &[0.; 3]), &mut Matrix::default());
     }
 
     #[test]
@@ -700,7 +648,7 @@ mod tests {
         for (n, k, m2) in awkward_shapes() {
             let a = patterned(n, k, 1);
             let b = patterned(k, m2, 2);
-            let reference = a.matmul(&b);
+            let reference = oracle_nn(&a, &b);
             let mut out = Matrix::default();
             a.matmul_into(&b, &mut out);
             assert_eq!(out, reference, "{n}x{k}x{m2}");
@@ -712,7 +660,7 @@ mod tests {
         for (n, k, m2) in awkward_shapes() {
             let a = patterned(k, n, 3);
             let b = patterned(k, m2, 4);
-            let reference = a.matmul_tn(&b);
+            let reference = oracle_tn(&a, &b);
             let mut out = Matrix::default();
             a.matmul_tn_into(&b, &mut out);
             assert_eq!(out, reference, "{n}x{k}x{m2}");
@@ -724,7 +672,7 @@ mod tests {
         for (n, k, m2) in awkward_shapes() {
             let a = patterned(n, k, 5);
             let b = patterned(m2, k, 6);
-            let reference = a.matmul_nt(&b);
+            let reference = oracle_nt(&a, &b);
             let mut out = Matrix::default();
             a.matmul_nt_into(&b, &mut out);
             assert_eq!(out, reference, "{n}x{k}x{m2}");
@@ -737,7 +685,7 @@ mod tests {
             let a = patterned(n, k, 7);
             let b = patterned(k, m2, 8);
             let bias: Vec<f32> = Matrix::xavier(1, m2, 9).as_slice().to_vec();
-            let mut reference = a.matmul(&b);
+            let mut reference = oracle_nn(&a, &b);
             reference.add_row_broadcast(&bias);
             let mut out = Matrix::default();
             a.matmul_bias_into(&b, &bias, &mut out);
@@ -751,7 +699,7 @@ mod tests {
             let a = patterned(n, k, 10);
             let b = patterned(k, m2, 11);
             let bias: Vec<f32> = Matrix::xavier(1, m2, 12).as_slice().to_vec();
-            let mut z_ref = a.matmul(&b);
+            let mut z_ref = oracle_nn(&a, &b);
             z_ref.add_row_broadcast(&bias);
             let mut h_ref = Matrix::default();
             z_ref.relu_into(&mut h_ref);
@@ -789,7 +737,7 @@ mod tests {
         // Stale contents from the big product must not leak into the small.
         big_a.matmul_into(&big_b, &mut out);
         small_a.matmul_into(&small_b, &mut out);
-        assert_eq!(out, small_a.matmul(&small_b));
+        assert_eq!(out, oracle_nn(&small_a, &small_b));
     }
 
     #[test]

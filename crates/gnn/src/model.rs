@@ -112,7 +112,11 @@ impl GraphSample {
     /// (thread-safe; concurrent first calls race benignly on identical
     /// values).
     pub fn ax1(&self) -> &Matrix {
-        self.ax1.get_or_init(|| self.adj.spmm(&self.x))
+        self.ax1.get_or_init(|| {
+            let mut ax = Matrix::default();
+            self.adj.spmm_into(&self.x, &mut ax);
+            ax
+        })
     }
 }
 
@@ -379,9 +383,10 @@ impl GcnModel {
         h
     }
 
-    /// Loss and parameter gradients for one sample — the **naive reference
-    /// path** built on the allocating kernels, kept as the bit-identity
-    /// oracle for [`GcnModel::compute_grads_into`] (which the training loop
+    /// Loss and parameter gradients for one sample — the **reference
+    /// path** built on the allocating layer passes (fresh buffers per
+    /// call, unfused ReLU, full backward), kept as the model-level oracle
+    /// for [`GcnModel::compute_grads_into`] (which the training loop
     /// actually runs) and still used by [`GcnModel::train_sample`].
     fn compute_grads(&self, sample: &GraphSample, class_weights: Option<&[f32]>) -> (f64, Grads) {
         let fwd = self.forward(&sample.adj, &sample.x);

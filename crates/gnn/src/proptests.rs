@@ -2,7 +2,7 @@
 
 #![cfg(test)]
 
-use crate::graph::Graph;
+use crate::graph::{Graph, NormAdj};
 use crate::kernels::{force_simd_mode, SimdMode};
 use crate::loss::{cross_entropy, cross_entropy_into, softmax_row};
 use crate::matrix::Matrix;
@@ -105,21 +105,47 @@ fn close(a: f32, b: f32) -> bool {
     (a - b).abs() <= 1e-3 * (1.0 + a.abs().max(b.abs()))
 }
 
+/// Fresh-output forms of the dispatched kernels: `a @ b` here; `aᵀ @ b`,
+/// `a @ bᵀ` and `Â @ x` below.
+fn nn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_into(b, &mut out);
+    out
+}
+
+fn tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_tn_into(b, &mut out);
+    out
+}
+
+fn nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_nt_into(b, &mut out);
+    out
+}
+
+fn spmm(adj: &NormAdj, x: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    adj.spmm_into(x, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (A B) C == A (B C) within float tolerance.
     #[test]
     fn matmul_associative(a in matrix(3, 4), b in matrix(4, 2), c in matrix(2, 5)) {
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = nn(&nn(&a, &b), &c);
+        let right = nn(&a, &nn(&b, &c));
         for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
             prop_assert!(close(*x, *y), "{x} vs {y}");
         }
     }
 
-    /// `matmul_tn(a, b)` equals the explicit transpose product, and
-    /// `matmul_nt(a, b)` equals `a @ bᵀ`.
+    /// `matmul_tn_into(a, b)` equals the explicit transpose product, and
+    /// `matmul_nt_into(a, b)` equals `a @ bᵀ`.
     #[test]
     fn transpose_product_forms_agree(a in matrix(4, 3), b in matrix(4, 2), c in matrix(5, 3)) {
         let mut at = Matrix::zeros(3, 4);
@@ -128,8 +154,8 @@ proptest! {
                 at.set(col, r, a.get(r, col));
             }
         }
-        let want = at.matmul(&b);
-        let got = a.matmul_tn(&b);
+        let want = nn(&at, &b);
+        let got = tn(&a, &b);
         for (x, y) in want.as_slice().iter().zip(got.as_slice()) {
             prop_assert!(close(*x, *y));
         }
@@ -140,8 +166,8 @@ proptest! {
                 ct.set(col, r, c.get(r, col));
             }
         }
-        let want = a.matmul(&ct);
-        let got = a.matmul_nt(&c);
+        let want = nn(&a, &ct);
+        let got = nt(&a, &c);
         for (x, y) in want.as_slice().iter().zip(got.as_slice()) {
             prop_assert!(close(*x, *y));
         }
@@ -170,9 +196,9 @@ proptest! {
         prop_assert!(grad.row(0).iter().all(|&v| v == 0.0));
     }
 
-    /// The vectorized write-into matmul family is BIT-identical to the
-    /// canonical-scalar reference kernels — not merely close: same
-    /// per-element accumulation order, so `to_bits` must agree everywhere.
+    /// The vector backend is BIT-identical to the forced scalar oracle —
+    /// not merely close: same per-element accumulation order, so `to_bits`
+    /// must agree everywhere.
     #[test]
     fn vector_kernels_bit_identical_to_reference(
         mats in (1usize..70, 1usize..40, 1usize..70).prop_flat_map(|(n, k, m)| (
@@ -183,13 +209,11 @@ proptest! {
         ))
     ) {
         let (a, b, c, d) = mats;
-        let mut out = Matrix::default();
-        a.matmul_into(&b, &mut out);
-        assert_bits_eq(&out, &a.matmul(&b));
-        a.matmul_tn_into(&c, &mut out);
-        assert_bits_eq(&out, &a.matmul_tn(&c));
-        a.matmul_nt_into(&d, &mut out);
-        assert_bits_eq(&out, &a.matmul_nt(&d));
+        let run = |mode| with_mode(mode, || (nn(&a, &b), tn(&a, &c), nt(&a, &d)));
+        let (scalar, vector) = (run(SimdMode::Scalar), run(SimdMode::Vector));
+        assert_bits_eq(&vector.0, &scalar.0);
+        assert_bits_eq(&vector.1, &scalar.1);
+        assert_bits_eq(&vector.2, &scalar.2);
     }
 
     /// Forced scalar vs. forced vector backends agree to the bit on odd
@@ -233,12 +257,10 @@ proptest! {
         assert_bits_eq_nan_class(&vector.2, &scalar.2);
         assert_bits_eq_nan_class(&vector.3, &scalar.3);
         assert_bits_eq_nan_class(&vector.4, &scalar.4);
-        // And the allocating oracle agrees with the forced-scalar run.
-        assert_bits_eq_nan_class(&scalar.0, &a.matmul(&b));
-        assert_bits_eq_nan_class(&scalar.2, &a.matmul_nt(&d));
     }
 
-    /// `spmm_into` is bit-identical to `spmm` on random graphs.
+    /// The vector spmm is bit-identical to the forced scalar oracle on
+    /// random graphs.
     #[test]
     fn vector_spmm_bit_identical_to_reference(
         case in (2usize..40, 1usize..80).prop_flat_map(|(n, e)| (
@@ -249,9 +271,8 @@ proptest! {
     ) {
         let (x, edges, self_loops) = case;
         let adj = Graph::from_edges(x.rows(), edges).normalize(self_loops);
-        let mut out = Matrix::default();
-        adj.spmm_into(&x, &mut out);
-        assert_bits_eq(&out, &adj.spmm(&x));
+        let run = |mode| with_mode(mode, || spmm(&adj, &x));
+        assert_bits_eq(&run(SimdMode::Vector), &run(SimdMode::Scalar));
     }
 
     /// `cross_entropy_into` on recycled (dirty) buffers is bit-identical to
@@ -278,7 +299,7 @@ proptest! {
         }
         let adj = g.normalize(true);
         let ones = Matrix::from_vec(n, 1, vec![1.0; n]);
-        let y = adj.spmm(&ones);
+        let y = spmm(&adj, &ones);
         for r in 0..n {
             prop_assert!(close(y.get(r, 0), 1.0), "row {r}: {}", y.get(r, 0));
         }

@@ -1,8 +1,8 @@
 //! Integration tests of the kernel-backend dispatch (`M3D_SIMD`): env
-//! resolution, the bit-identity contract between the scalar and vector
-//! backends, and the opt-in AVX2 path's close-but-not-bitwise behavior.
+//! resolution and the bit-identity contract between the scalar and vector
+//! backends.
 
-use m3d_gnn::{avx2_supported, force_simd_mode, kernel_flops, simd_mode, Matrix, SimdMode};
+use m3d_gnn::{force_simd_mode, kernel_flops, simd_mode, Matrix, SimdMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -44,7 +44,6 @@ fn env_dispatch_matches_documented_table_and_is_stable() {
         .map(str::trim)
     {
         Some("off") | Some("scalar") => SimdMode::Scalar,
-        Some("avx2") if avx2_supported() => SimdMode::Avx2,
         _ => SimdMode::Vector,
     };
     let (first, second) = with_mode(None, || (simd_mode(), simd_mode()));
@@ -87,44 +86,13 @@ fn scalar_and_vector_backends_are_bit_identical() {
     assert_eq!(bits(&vector.4), bits(&scalar.4), "fused relu diverges");
 }
 
-/// The AVX2 backend (when the CPU has it) stays numerically close to the
-/// canonical result but is *not* required to match bitwise — FMA fuses
-/// the rounding. When the CPU lacks it, forcing AVX2 clamps to Vector.
-#[test]
-fn avx2_backend_is_close_or_clamps() {
-    if !avx2_supported() {
-        let mode = with_mode(Some(SimdMode::Avx2), simd_mode);
-        assert_eq!(mode, SimdMode::Vector, "unsupported AVX2 must clamp");
-        return;
-    }
-    let mut rng = StdRng::seed_from_u64(0xA2);
-    let a = random_matrix(&mut rng, 33, 17);
-    let b = random_matrix(&mut rng, 17, 23);
-    let run = |mode: SimdMode| {
-        with_mode(Some(mode), || {
-            let mut out = Matrix::default();
-            a.matmul_into(&b, &mut out);
-            out
-        })
-    };
-    let reference = run(SimdMode::Scalar);
-    let avx2 = run(SimdMode::Avx2);
-    for (i, (&r, &v)) in reference.as_slice().iter().zip(avx2.as_slice()).enumerate() {
-        let tol = 1e-5 * r.abs().max(1.0);
-        assert!(
-            (r - v).abs() <= tol,
-            "AVX2 drifted beyond FMA rounding at {i}: {r} vs {v}"
-        );
-    }
-}
-
 /// Kernel FLOPs accumulate monotonically with known per-op increments.
 #[test]
 fn kernel_flops_counter_accumulates() {
     let a = Matrix::from_vec(4, 3, vec![1.0; 12]);
     let b = Matrix::from_vec(3, 5, vec![1.0; 15]);
     let before = kernel_flops();
-    let _ = a.matmul(&b);
+    a.matmul_into(&b, &mut Matrix::default());
     let after = kernel_flops();
     assert!(
         after >= before + 2 * 4 * 3 * 5,

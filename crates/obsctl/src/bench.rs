@@ -11,8 +11,9 @@
 //! `base * (1 + rel_tol) + abs_floor_ms`. The floor keeps microsecond
 //! stages (pure noise at CI granularity) from flapping the gate.
 
-use crate::json::{self, write_number, write_string, Json};
+use crate::json::{self, Json};
 use crate::report::RunReport;
+use m3d_obs::report::{json_number, json_string};
 use std::fmt::Write as _;
 
 /// Snapshot schema identifier.
@@ -121,27 +122,27 @@ pub fn aggregate(reports: &[RunReport], scale: Option<&str>) -> Result<BenchSnap
 pub fn to_json(s: &BenchSnapshot) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"scale\": ");
-    write_string(&mut out, &s.scale);
+    json_string(&mut out, &s.scale);
     out.push_str(",\n  \"git_rev\": ");
-    write_string(&mut out, &s.git_rev);
+    json_string(&mut out, &s.git_rev);
     let _ = write!(out, ",\n  \"runs\": {},\n  \"stages\": {{", s.runs);
     for (i, st) in s.stages.iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        write_string(&mut out, &st.name);
+        json_string(&mut out, &st.name);
         let _ = write!(out, ": {{\"count\": {}, \"p50_ms\": ", st.count);
-        write_number(&mut out, st.p50_ms);
+        json_number(&mut out, st.p50_ms);
         out.push_str(", \"p95_ms\": ");
-        write_number(&mut out, st.p95_ms);
+        json_number(&mut out, st.p95_ms);
         out.push_str(", \"max_ms\": ");
-        write_number(&mut out, st.max_ms);
+        json_number(&mut out, st.max_ms);
         out.push_str(", \"total_ms\": ");
-        write_number(&mut out, st.total_ms);
+        json_number(&mut out, st.total_ms);
         out.push('}');
     }
     out.push_str("\n  },\n  \"counters\": {");
     for (i, (name, value)) in s.counters.iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        write_string(&mut out, name);
+        json_string(&mut out, name);
         let _ = write!(out, ": {value}");
     }
     out.push_str("\n  }\n}\n");

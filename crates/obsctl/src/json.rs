@@ -4,8 +4,10 @@
 //! parser over the full JSON grammar is all that is needed.
 //!
 //! Numbers are held as `f64` (every value the tooling reads — millisecond
-//! stats, counters, nanosecond offsets — fits; counters are additionally
-//! range-checked at the call sites that need integers).
+//! stats, counters, nanosecond offsets — fits); integer fields are read
+//! through [`Json::as_u64`], which refuses fractions instead of
+//! truncating them. Writers use `m3d_obs::report::{json_string,
+//! json_number}`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,11 +55,11 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an unsigned integer (rejects negatives and
-    /// non-integral values beyond f64 rounding).
+    /// The numeric payload as an unsigned integer: `None` for negatives,
+    /// fractions and values of 2^64 or more (which would saturate).
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n >= 0.0 && n <= u64::MAX as f64 {
+        if n >= 0.0 && n.fract() == 0.0 && n < 18_446_744_073_709_551_616.0 {
             Some(n as u64)
         } else {
             None
@@ -327,35 +329,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Appends `s` to `out` as a quoted, escaped JSON string (the writer-side
-/// twin of [`parse`], shared by the trace and snapshot emitters).
-pub fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends a finite number, or `null` for NaN/infinity.
-pub fn write_number(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,7 +411,16 @@ mod tests {
     fn write_string_round_trips_through_parse() {
         let original = "weird \"name\"\\with\nescapes\tand\u{1}control";
         let mut s = String::new();
-        write_string(&mut s, original);
+        m3d_obs::report::json_string(&mut s, original);
         assert_eq!(parse(&s).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn as_u64_rejects_fractions_negatives_and_overflow() {
+        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        for bad in ["1.5", "-1", "1e20", "0.5"] {
+            assert_eq!(parse(bad).unwrap().as_u64(), None, "{bad}");
+        }
     }
 }

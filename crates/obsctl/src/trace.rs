@@ -8,15 +8,15 @@
 //! the producing binary and order threads by first appearance, so the
 //! timeline reads top-down in source order.
 
-use crate::json::{write_number, write_string};
 use crate::report::RunReport;
+use m3d_obs::report::{json_number, json_string};
 
 /// Fixed pid: a run report describes exactly one process.
 const PID: u32 = 1;
 
 fn push_common(out: &mut String, name: &str, ph: char, tid: u32) {
     out.push_str("{\"name\":");
-    write_string(out, name);
+    json_string(out, name);
     out.push_str(&format!(",\"ph\":\"{ph}\",\"pid\":{PID},\"tid\":{tid}"));
 }
 
@@ -37,7 +37,7 @@ pub fn chrome_trace(report: &RunReport) -> String {
         let mut e = String::new();
         push_common(&mut e, "process_name", 'M', 0);
         e.push_str(",\"args\":{\"name\":");
-        write_string(&mut e, process_name);
+        json_string(&mut e, process_name);
         e.push_str("}}");
         push_event(e);
     }
@@ -64,9 +64,9 @@ pub fn chrome_trace(report: &RunReport) -> String {
         let mut e = String::new();
         push_common(&mut e, &ev.name, 'X', ev.tid);
         e.push_str(",\"cat\":\"span\",\"ts\":");
-        write_number(&mut e, ev.start_ns as f64 / 1e3);
+        json_number(&mut e, ev.start_ns as f64 / 1e3);
         e.push_str(",\"dur\":");
-        write_number(&mut e, ev.dur_ns as f64 / 1e3);
+        json_number(&mut e, ev.dur_ns as f64 / 1e3);
         e.push('}');
         push_event(e);
     }

@@ -211,4 +211,10 @@ fn forward_compat_and_corruption() {
     let mut truncated = produced.to_ndjson();
     truncated.push_str("{\"type\":\"span\",\"name\":\"framework.tr");
     assert!(report::parse(&truncated).is_err());
+    // A fractional counter is not an integer field: it fails instead of
+    // truncating to 1.
+    let mut fractional = produced.to_ndjson();
+    fractional.push_str("{\"type\":\"counter\",\"name\":\"x\",\"value\":1.5}\n");
+    let err = report::parse(&fractional).expect_err("1.5 is not a counter value");
+    assert!(err.to_string().contains("integer field `value`"), "{err}");
 }

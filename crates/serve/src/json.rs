@@ -1,32 +1,13 @@
-//! Hand-rolled JSON support for the flat string-valued objects the wire
-//! protocol exchanges — the container has no serde, and the protocol
-//! needs nothing more than `{"key":"value",...}` in and a fixed response
-//! record out.
+//! Hand-rolled JSON reader for the flat string-valued objects the wire
+//! protocol exchanges — the workspace has no serde, and the protocol
+//! needs nothing more than `{"key":"value",...}` in. Writers use
+//! `m3d_obs::report::json_string`, the workspace's one string escaper.
 //!
 //! The parser accepts exactly one object per line whose values are
 //! strings or `null` (null-valued keys are dropped); anything else —
 //! arrays, numbers, nested objects, trailing junk — is a parse error the
 //! server converts into a `rejected` response rather than a dropped
 //! connection.
-
-/// Escapes `s` as the *contents* of a JSON string literal (no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 struct Scanner<'a> {
     bytes: &'a [u8],
@@ -191,7 +172,9 @@ mod tests {
     #[test]
     fn escape_then_parse_round_trips() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1}\u{1f600} é";
-        let line = format!("{{\"k\":\"{}\"}}", escape(nasty));
+        let mut line = String::from("{\"k\":");
+        m3d_obs::report::json_string(&mut line, nasty);
+        line.push('}');
         let parsed = parse_object(&line).expect("round trip");
         assert_eq!(parsed, vec![("k".to_string(), nasty.to_string())]);
     }

@@ -8,7 +8,7 @@
 //!
 //! The crate splits into:
 //!
-//! - [`json`] — dependency-free JSON for the flat wire objects,
+//! - [`json`] — dependency-free JSON reader for the flat wire objects,
 //! - [`protocol`] — request/response records and their totality
 //!   contract (`t_p_fallback` and `degrade_reason` on every record),
 //! - [`registry`] — the design→session routing table,

@@ -28,10 +28,11 @@ use std::time::Instant;
 
 use m3d_fault_loc::{
     generate_samples, Artifact, DatasetConfig, DesignConfig, DesignContext, DiagnosisSession,
-    ModelTrainConfig, PipelineBuilder, TestBench, TestBenchConfig, TrainingSet,
+    ModelTrainConfig, PipelineBuilder, Sample, TestBench, TestBenchConfig, TrainingSet,
 };
 use m3d_netlist::BenchmarkProfile;
-use m3d_serve::{engine, json::escape, Registry, ServeConfig, ServeGuard};
+use m3d_obs::report::json_string;
+use m3d_serve::{engine, Registry, ServeConfig, ServeGuard};
 use m3d_sim::write_failure_log;
 
 fn usage() -> String {
@@ -205,16 +206,29 @@ fn cmd_requests(mut args: Args) -> Result<(), String> {
     let bench = artifact.build_bench().map_err(|e| e.to_string())?;
     let ctx = DesignContext::new(&bench);
     let chips = generate_samples(&ctx, &DatasetConfig::single(n, seed));
-    let design = escape(artifact.design());
     let mut out = String::new();
-    for (i, chip) in chips.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"id\":\"case-{i}\",\"design\":\"{design}\",\"log\":\"{}\"}}\n",
-            escape(&write_failure_log(&chip.log)),
-        ));
+    for line in request_lines(artifact.design(), &chips) {
+        out.push_str(&line);
+        out.push('\n');
     }
     print!("{out}");
     Ok(())
+}
+
+/// One NDJSON request line per chip for `design`, ids `case-<i>`.
+fn request_lines(design: &str, chips: &[Sample]) -> Vec<String> {
+    chips
+        .iter()
+        .enumerate()
+        .map(|(i, chip)| {
+            let mut line = format!("{{\"id\":\"case-{i}\",\"design\":");
+            json_string(&mut line, design);
+            line.push_str(",\"log\":");
+            json_string(&mut line, &write_failure_log(&chip.log));
+            line.push('}');
+            line
+        })
+        .collect()
 }
 
 /// Loads artifacts and hands sealed sessions (plus the benches they
@@ -312,17 +326,7 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
     let bench = artifact.build_bench().map_err(|e| e.to_string())?;
     let ctx = DesignContext::new(&bench);
     let chips = generate_samples(&ctx, &DatasetConfig::single(n, 77));
-    let design = escape(artifact.design());
-    let lines: Vec<String> = chips
-        .iter()
-        .enumerate()
-        .map(|(i, chip)| {
-            format!(
-                "{{\"id\":\"case-{i}\",\"design\":\"{design}\",\"log\":\"{}\"}}",
-                escape(&write_failure_log(&chip.log)),
-            )
-        })
-        .collect();
+    let lines = request_lines(artifact.design(), &chips);
 
     with_sessions(&[path], threads, |sessions| {
         let registry = Registry::new(sessions).map_err(|e| e.to_string())?;

@@ -15,7 +15,8 @@
 //! connection on bad input: malformed lines come back as
 //! `"status":"rejected"` records (never-500 semantics).
 
-use crate::json::{escape, parse_object};
+use crate::json::parse_object;
+use m3d_obs::report::json_string;
 
 /// A parsed diagnosis request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,10 +128,12 @@ impl Response {
     /// Every key is always present.
     pub fn to_json(&self) -> String {
         fn opt_str(v: Option<&str>) -> String {
+            let mut out = String::new();
             match v {
-                Some(s) => format!("\"{}\"", escape(s)),
-                None => "null".to_string(),
+                Some(s) => json_string(&mut out, s),
+                None => out.push_str("null"),
             }
+            out
         }
         fn opt_num(v: Option<impl std::fmt::Display>) -> String {
             match v {
@@ -146,14 +149,14 @@ impl Response {
         };
         format!(
             concat!(
-                "{{\"id\":\"{id}\",\"design\":\"{design}\",\"status\":\"{status}\",",
+                "{{\"id\":{id},\"design\":{design},\"status\":\"{status}\",",
                 "\"degrade_reason\":{degrade},\"t_p_fallback\":{fallback},",
                 "\"tier\":{tier},\"confidence\":{confidence},\"action\":{action},",
                 "\"resolution\":{resolution},\"atpg_resolution\":{atpg},",
                 "\"pruned\":{pruned},\"error\":{error}}}"
             ),
-            id = escape(&self.id),
-            design = escape(&self.design),
+            id = opt_str(Some(&self.id)),
+            design = opt_str(Some(&self.design)),
             status = self.status.as_str(),
             degrade = opt_str(self.degrade_reason),
             fallback = match self.t_p_fallback {

@@ -158,9 +158,10 @@ fn tiled_kernel_training_is_invariant_to_threads_and_cache_state() {
 }
 
 /// The SIMD lane-order contract, end to end: an entire training run under
-/// the forced scalar backend produces byte-identical weights and losses to
-/// the default 8-lane vector backend. This is what lets `M3D_SIMD=off`
-/// serve as a bit-exact reference mode rather than an approximation.
+/// the forced scalar backend produces byte-identical weights, losses and
+/// inference logits to the default 8-lane vector backend. This is what
+/// lets `M3D_SIMD=off` serve as a bit-exact reference mode rather than an
+/// approximation.
 #[test]
 fn training_is_invariant_to_simd_backend() {
     use m3d_gnn::{
@@ -198,11 +199,18 @@ fn training_is_invariant_to_simd_backend() {
         force_simd_mode(Some(mode));
         let mut model = GcnModel::new(&model_cfg);
         let losses = model.train_with_pool(&samples, &cfg, &ExecPool::with_threads(1));
+        let logits: Vec<Vec<u32>> = samples
+            .iter()
+            .map(|s| {
+                let z = model.logits(&s.adj, &s.x);
+                z.as_slice().iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
         force_simd_mode(None);
-        (model.save_text(), losses)
+        (model.save_text(), losses, logits)
     };
-    let (scalar_model, scalar_losses) = run(SimdMode::Scalar);
-    let (vector_model, vector_losses) = run(SimdMode::Vector);
+    let (scalar_model, scalar_losses, scalar_logits) = run(SimdMode::Scalar);
+    let (vector_model, vector_losses, vector_logits) = run(SimdMode::Vector);
     assert_eq!(
         vector_model, scalar_model,
         "weights differ between scalar and vector backends"
@@ -212,6 +220,10 @@ fn training_is_invariant_to_simd_backend() {
         bits(&vector_losses),
         bits(&scalar_losses),
         "loss curves differ between scalar and vector backends"
+    );
+    assert_eq!(
+        vector_logits, scalar_logits,
+        "inference logits differ between scalar and vector backends"
     );
 }
 

@@ -18,7 +18,8 @@ use m3d_fault_loc::{
     PipelineBuilder, TestBench, TestBenchConfig, TrainingSet,
 };
 use m3d_netlist::BenchmarkProfile;
-use m3d_serve::{engine, json, protocol::RESPONSE_KEYS, Registry, ServeConfig};
+use m3d_obs::report::json_string;
+use m3d_serve::{engine, protocol::RESPONSE_KEYS, Registry, ServeConfig};
 use m3d_sim::{write_failure_log, FailureLog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,12 +59,14 @@ fn trained_session<'a>(pipeline: &Pipeline, bench: &'a TestBench) -> DiagnosisSe
 }
 
 fn request_line(id: &str, design: &str, log: &FailureLog) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"design\":\"{}\",\"log\":\"{}\"}}",
-        json::escape(id),
-        json::escape(design),
-        json::escape(&write_failure_log(log)),
-    )
+    let mut line = String::from("{\"id\":");
+    json_string(&mut line, id);
+    line.push_str(",\"design\":");
+    json_string(&mut line, design);
+    line.push_str(",\"log\":");
+    json_string(&mut line, &write_failure_log(log));
+    line.push('}');
+    line
 }
 
 /// Parses a response line with the crate's own JSON parser (values only
