@@ -50,50 +50,28 @@ fn bin_name() -> String {
 #[derive(Debug)]
 #[must_use = "binding to `_` drops immediately and the report would cover nothing"]
 pub struct ReportGuard {
-    config: Vec<(&'static str, String)>,
+    _guard: m3d_obs::ReportGuard,
 }
 
 impl ReportGuard {
-    /// Arms the guard with the run's config echo. If `M3D_OBS_STREAM`
-    /// names a path, live telemetry streaming is attached here too, so
-    /// every harness binary is stream-capable without per-bin wiring.
+    /// Arms an [`m3d_obs::ReportGuard`] with the run's config echo:
+    /// binary name, scale, profile filter and git revision. If
+    /// `M3D_OBS_STREAM` names a path, live telemetry streaming is
+    /// attached too, so every harness binary is stream-capable without
+    /// per-bin wiring.
     pub fn new(scale: &Scale, profiles: &[BenchmarkProfile]) -> ReportGuard {
         let profile_list = profiles
             .iter()
             .map(|p| p.name())
             .collect::<Vec<_>>()
             .join(",");
-        let mut config = vec![
-            ("bin", bin_name()),
-            ("scale", scale.name.to_string()),
-            ("profiles", profile_list),
-            ("git_rev", git_rev()),
-        ];
-        if m3d_obs::stream::init_from_env() {
-            if let Ok(stream) = std::env::var(m3d_obs::stream::STREAM_ENV) {
-                config.push(("stream", stream));
-            }
+        ReportGuard {
+            _guard: m3d_obs::ReportGuard::new(vec![
+                ("bin", bin_name()),
+                ("scale", scale.name.to_string()),
+                ("profiles", profile_list),
+                ("git_rev", git_rev()),
+            ]),
         }
-        ReportGuard { config }
-    }
-}
-
-impl Drop for ReportGuard {
-    fn drop(&mut self) {
-        let status = if std::thread::panicking() {
-            "panicked"
-        } else {
-            "ok"
-        };
-        let mut config = std::mem::take(&mut self.config);
-        config.push(("status", status.to_string()));
-        // A failed report write must not fail (or abort, if unwinding)
-        // the experiment that produced the tables.
-        if let Err(e) = m3d_obs::write_from_env(&config) {
-            m3d_obs::error!("failed to write run report: {e}");
-        }
-        // After the report (so its stream-drop counter is captured):
-        // final delta + stream_summary, then the sink closes.
-        m3d_obs::stream::shutdown();
     }
 }

@@ -1,16 +1,31 @@
-//! Minimal JSON reader for the observability tooling. The workspace is
-//! offline (no serde), and the inputs are machine-generated — `m3d-obs/1`
-//! NDJSON lines and `BENCH_*.json` snapshots — so a small recursive-descent
-//! parser over the full JSON grammar is all that is needed.
+//! The workspace's one JSON reader. The workspace is offline (no serde).
+//! Its inputs are the `m3d-serve` wire requests, which arrive from
+//! outside the program, and the `m3d-obs/1` reports, `m3d-obs-stream/1`
+//! streams and `BENCH_*.json` snapshots the `m3d-obsctl` tools read.
+//! A small recursive-descent parser over the full JSON grammar serves
+//! both, strict where lenience would hide corruption:
+//!
+//! - duplicate object keys and raw control bytes in strings are errors;
+//! - `\u` takes exactly four ASCII hex digits, and surrogates must pair;
+//! - nesting deeper than [`MAX_DEPTH`] is an error, so no input can
+//!   overflow the stack;
+//! - anything but whitespace after the value is an error.
+//!
+//! Parsing is linear in the input: unescaped runs of a string are
+//! copied wholesale.
 //!
 //! Numbers are held as `f64` (every value the tooling reads — millisecond
 //! stats, counters, nanosecond offsets — fits); integer fields are read
 //! through [`Json::as_u64`], which refuses fractions instead of
-//! truncating them. Writers use `m3d_obs::report::{json_string,
-//! json_number}`.
+//! truncating them. Writers use [`crate::report::json_string`] and
+//! [`crate::report::json_number`].
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace writes, a stream `delta` record, nests 5 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +40,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Key order is not preserved (keys are unique in every
-    /// document this tooling reads).
+    /// An object. Key order is not preserved; keys are unique (a
+    /// repeated key is a parse error).
     Obj(BTreeMap<String, Json>),
 }
 
@@ -101,15 +116,19 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -170,17 +189,31 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes the opening bracket of a container one level deeper.
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(map));
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return Err(self.err(&format!("duplicate key `{key}`")));
+            }
             self.skip_ws();
             self.expect(b':')?;
             map.insert(key, self.value()?);
@@ -189,6 +222,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(map));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
@@ -197,11 +231,12 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -211,6 +246,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
@@ -218,32 +254,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn hex4(&mut self) -> Result<u16, JsonError> {
-        let end = self.pos + 4;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
+    /// Four ASCII hex digits (no sign, no shorter form).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let bytes = self.bytes;
+        let digits = bytes
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(slice).map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let v = u16::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        let mut v = 0;
+        for &d in digits {
+            let nibble = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("\\u takes four hex digits"))?;
+            v = v << 4 | nibble;
+        }
+        self.pos += 4;
         Ok(v)
+    }
+
+    /// The code point of a `\u` escape (the `\u` already consumed),
+    /// joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(self.err("unpaired high surrogate"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(self.err("unpaired high surrogate"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("unpaired low surrogate")),
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the unescaped run wholesale. It ends at an ASCII byte
+            // or the end of input, so both ends are char boundaries.
             let start = self.pos;
-            // Copy unescaped UTF-8 runs wholesale.
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                out.push_str(run);
-            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -253,47 +316,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("truncated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("unpaired high surrogate"));
-                                    }
-                                    0x10000
-                                        + ((u32::from(hi) - 0xD800) << 10)
-                                        + (u32::from(lo) - 0xDC00)
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                u32::from(hi)
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
+                    out.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
                         _ => return Err(self.err("unknown escape")),
-                    }
+                    });
                 }
+                Some(_) => return Err(self.err("raw control byte in string")),
                 None => return Err(self.err("unterminated string")),
-                Some(_) => unreachable!("loop consumed non-terminators"),
             }
         }
     }
@@ -321,9 +358,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -332,6 +368,16 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::json_string;
+
+    fn obj(pairs: &[(&str, Json)]) -> Json {
+        Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
 
     #[test]
     fn parses_scalars() {
@@ -352,13 +398,34 @@ mod tests {
     }
 
     #[test]
+    fn parses_multi_key_objects_and_null() {
+        let parsed =
+            parse(r#" {"id":"a","design":"aes/Syn-1","note":null,"log":"x\ny"} "#).expect("parses");
+        assert_eq!(
+            parsed,
+            obj(&[
+                ("id", Json::Str("a".into())),
+                ("design", Json::Str("aes/Syn-1".into())),
+                ("note", Json::Null),
+                ("log", Json::Str("x\ny".into())),
+            ])
+        );
+        assert_eq!(parse("{}").expect("empty object"), obj(&[]));
+    }
+
+    #[test]
     fn decodes_escapes_and_surrogate_pairs() {
-        let v = parse(r#""q\"\\\n\t\u0041\ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str(), Some("q\"\\\n\tA\u{1F600}"));
+        for (input, decoded) in [
+            (r#""q\"\\\n\t\u0041\ud83d\ude00""#, "q\"\\\n\tA\u{1F600}"),
+            (r#""\u00E9\/\b\f\r""#, "é/\u{8}\u{c}\r"),
+        ] {
+            assert_eq!(parse(input).unwrap().as_str(), Some(decoded), "{input}");
+        }
     }
 
     #[test]
     fn rejects_malformed_input() {
+        let deep = "[".repeat(100_000);
         for bad in [
             "",
             "{",
@@ -369,8 +436,24 @@ mod tests {
             "1 2",
             "{'a':1}",
             "\"\\ud800\"",
+            "\"\\udc00\"",
+            // `\u` takes exactly four hex digits, unsigned.
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u04\"",
+            "\"\\u00é\"",
+            // Raw control bytes must be escaped.
+            "\"a\nb\"",
+            // Keys are unique.
+            "{\"k\":null,\"k\":1}",
+            // Nesting is capped, never a stack overflow.
+            &deep,
         ] {
-            assert!(parse(bad).is_err(), "{bad:?} must fail");
+            assert!(
+                parse(bad).is_err(),
+                "{:?} must fail",
+                bad.get(..40).unwrap_or(bad)
+            );
         }
     }
 
@@ -405,14 +488,61 @@ mod tests {
             outer[1].as_arr().unwrap()[1].as_arr().unwrap()[0].as_u64(),
             Some(6)
         );
+        // The cap counts open containers: MAX_DEPTH parses, one more
+        // level fails, and siblings do not add up.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let siblings = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&siblings).is_ok());
+        assert!(parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH - 1))).is_ok());
+        assert!(parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).is_err());
     }
 
     #[test]
     fn write_string_round_trips_through_parse() {
-        let original = "weird \"name\"\\with\nescapes\tand\u{1}control";
-        let mut s = String::new();
-        m3d_obs::report::json_string(&mut s, original);
-        assert_eq!(parse(&s).unwrap().as_str(), Some(original));
+        for original in ["weird \"name\"\\with\nescapes\tand\u{1}control", ""] {
+            let mut s = String::new();
+            json_string(&mut s, original);
+            assert_eq!(parse(&s).unwrap().as_str(), Some(original), "{s}");
+        }
+    }
+
+    #[test]
+    fn escape_then_parse_round_trips() {
+        // A string written into a one-key object line, as the serve wire
+        // carries it, reads back as that object.
+        let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1}\u{1f600} é";
+        let mut line = String::from("{\"k\":");
+        json_string(&mut line, nasty);
+        line.push('}');
+        let parsed = parse(&line).expect("round trip");
+        assert_eq!(parsed, obj(&[("k", Json::Str(nasty.into()))]));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let parsed = parse(r#"{"k":"\ud83d\ude00"}"#).expect("parses");
+        assert_eq!(parsed.get("k").and_then(Json::as_str), Some("\u{1f600}"));
+    }
+
+    #[test]
+    fn rejects_malformed_lines() {
+        // Broken one-key object lines. Well-formed JSON of the wrong shape
+        // (`null`, `[1]`, a number value) is refused by
+        // `m3d_serve::parse_request`, not here.
+        for bad in [
+            "{\"k\":\"v\"",
+            "{\"k\":\"v\"} trailing",
+            "{\"k\":\"v\",}",
+            "{\"k\":\"\\q\"}",
+            "{\"k\":\"\\ud83d\"}",
+            "{\"k\":\"v\",\"k\":\"w\"}",
+            "{\"k\":\"\u{1}\"}",
+        ] {
+            assert!(parse(bad).is_err(), "must reject {bad:?}");
+        }
     }
 
     #[test]

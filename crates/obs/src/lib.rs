@@ -23,9 +23,12 @@
 //!   loss / metric / wall-time curves per model.
 //! - **Run reports** — [`report::write_from_env`] dumps spans, counters,
 //!   gauges, curves, span events, and a config echo as NDJSON to the path
-//!   in `M3D_OBS_REPORT`. The `m3d-obsctl` binary (crate `obsctl`)
+//!   in `M3D_OBS_REPORT`; a binary's [`ReportGuard`] does so on drop,
+//!   even while unwinding. The `m3d-obsctl` binary (crate `obsctl`)
 //!   consumes these: Chrome-trace export, stage summaries, `BENCH_*.json`
 //!   snapshots, and the perf-regression gate.
+//! - **JSON reading** — [`json::parse`] is the workspace's one JSON
+//!   reader, shared by the `m3d-serve` wire and the `m3d-obsctl` tools.
 //! - **Live streaming** — [`mod@stream`] attaches a rotating NDJSON sink
 //!   (`M3D_OBS_STREAM`) fed by a background flusher: span events and
 //!   audits as they happen, plus periodic **delta snapshots** of
@@ -58,6 +61,7 @@
 #[cfg(feature = "alloc-profile")]
 pub mod alloc;
 mod hist;
+pub mod json;
 pub mod logger;
 pub mod registry;
 pub mod report;
@@ -69,7 +73,7 @@ pub use logger::{set_filter, Filter, Level};
 pub use registry::{
     current_tid, reset, set_enabled, snapshot, EpochPoint, Snapshot, SpanEvent, SpanSnapshot,
 };
-pub use report::{write_from_env, RunReport};
+pub use report::{write_from_env, ReportGuard, RunReport};
 pub use span::{timed, SpanGuard, TraceCtx, TraceCtxGuard};
 
 /// Starts an RAII span timer: `let _g = m3d_obs::span!("stage.name");`.

@@ -55,47 +55,17 @@ pub struct SpanEvent {
     pub parent_id: u64,
 }
 
-/// Default cap on events kept per run before new ones are dropped (the
-/// count of drops is still tracked). Spans are recorded at
+/// Cap on span events kept in memory per run before new ones are
+/// dropped (the count of drops is still tracked). Spans are recorded at
 /// pipeline-stage granularity, so this bound is generous; it exists to
-/// keep a runaway hot-loop span from exhausting memory. Overridable via
-/// [`EVENT_CAP_ENV`] for long or unusually span-dense runs.
-const DEFAULT_EVENT_CAP: usize = 1 << 16;
+/// keep a runaway hot-loop span from exhausting memory. A live stream
+/// (`M3D_OBS_STREAM`) carries every event regardless.
+pub const EVENT_CAP: usize = 1 << 16;
 
-/// Default cap on extra records (pre-serialized NDJSON lines, e.g.
-/// diagnosis audits) kept per run before new ones are dropped. One audit
+/// Cap on extra records (pre-serialized NDJSON lines, e.g. diagnosis
+/// audits) kept in memory per run before new ones are dropped. One audit
 /// is recorded per diagnosed failure log, so this bound is generous.
-/// Overridable via [`EXTRA_CAP_ENV`].
-const DEFAULT_EXTRA_CAP: usize = 1 << 14;
-
-/// Environment variable overriding the in-memory span-event cap.
-pub const EVENT_CAP_ENV: &str = "M3D_OBS_EVENT_CAP";
-
-/// Environment variable overriding the in-memory extra-record cap.
-pub const EXTRA_CAP_ENV: &str = "M3D_OBS_EXTRA_CAP";
-
-/// Reads a positive integer cap from `var`, falling back to `default`
-/// when unset, empty, or unparsable (a malformed override must not turn
-/// telemetry off or unbounded).
-fn cap_from_env(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// The active span-event cap (env read once, first use).
-pub fn event_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| cap_from_env(EVENT_CAP_ENV, DEFAULT_EVENT_CAP))
-}
-
-/// The active extra-record cap (env read once, first use).
-pub fn extra_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| cap_from_env(EXTRA_CAP_ENV, DEFAULT_EXTRA_CAP))
-}
+pub const EXTRA_CAP: usize = 1 << 14;
 
 /// One-shot latches so the first dropped record of each kind is loudly
 /// visible in the log instead of only post-hoc in `summarize`.
@@ -234,7 +204,7 @@ pub fn record_span_event(
     let dropped = {
         let mut inner = locked();
         record_stat(&mut inner, name, dur_ns);
-        if inner.events.len() < event_cap() {
+        if inner.events.len() < EVENT_CAP {
             inner.events.push(SpanEvent {
                 name: name.to_string(),
                 tid,
@@ -254,9 +224,8 @@ pub fn record_span_event(
     // logger (and a live stream) must never run under it.
     if dropped && !EVENT_DROP_WARNED.swap(true, Ordering::Relaxed) {
         crate::warn!(
-            "span-event cap ({}) reached — further span events are dropped from the \
-             in-memory report (raise {EVENT_CAP_ENV} or stream with M3D_OBS_STREAM)",
-            event_cap()
+            "span-event cap ({EVENT_CAP}) reached — further span events are dropped from \
+             the in-memory report (stream with M3D_OBS_STREAM to keep them)"
         );
     }
 }
@@ -286,7 +255,7 @@ pub fn record_extra(line: String) {
     }
     let dropped = {
         let mut inner = locked();
-        if inner.extras.len() >= extra_cap() {
+        if inner.extras.len() >= EXTRA_CAP {
             inner.extras_dropped += 1;
             true
         } else {
@@ -296,9 +265,8 @@ pub fn record_extra(line: String) {
     };
     if dropped && !EXTRA_DROP_WARNED.swap(true, Ordering::Relaxed) {
         crate::warn!(
-            "extra-record cap ({}) reached — further audit/extra records are dropped from \
-             the in-memory report (raise {EXTRA_CAP_ENV} or stream with M3D_OBS_STREAM)",
-            extra_cap()
+            "extra-record cap ({EXTRA_CAP}) reached — further audit/extra records are \
+             dropped from the in-memory report (stream with M3D_OBS_STREAM to keep them)"
         );
     }
 }
@@ -551,24 +519,6 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cap_parsing_falls_back_on_garbage() {
-        // Unique var names: unit tests share the process environment.
-        std::env::set_var("M3D_OBS_TEST_CAP_A", "64");
-        assert_eq!(cap_from_env("M3D_OBS_TEST_CAP_A", 10), 64);
-        std::env::set_var("M3D_OBS_TEST_CAP_B", "not-a-number");
-        assert_eq!(cap_from_env("M3D_OBS_TEST_CAP_B", 10), 10);
-        std::env::set_var("M3D_OBS_TEST_CAP_C", "0");
-        assert_eq!(
-            cap_from_env("M3D_OBS_TEST_CAP_C", 10),
-            10,
-            "zero = off is not allowed"
-        );
-        std::env::set_var("M3D_OBS_TEST_CAP_D", "");
-        assert_eq!(cap_from_env("M3D_OBS_TEST_CAP_D", 10), 10);
-        assert_eq!(cap_from_env("M3D_OBS_TEST_CAP_UNSET", 10), 10);
-    }
 
     #[test]
     fn deltas_carry_only_growth_and_fold_back_to_totals() {

@@ -260,6 +260,50 @@ pub fn write_from_env(config: &[(&str, String)]) -> std::io::Result<Option<PathB
     Ok(Some(path))
 }
 
+/// Flush-on-drop report and stream guard for a binary. Construct it
+/// first thing in `main` with the run's config echo. If `M3D_OBS_STREAM`
+/// names a path, live streaming is attached here and the path is echoed
+/// as `stream`. On drop — at normal exit *and* during panic unwinding —
+/// the echo gains `status` (`ok` or `panicked`), the report is written
+/// to `M3D_OBS_REPORT` when set, and the stream closes.
+#[derive(Debug)]
+#[must_use = "binding to `_` drops immediately and the report would cover nothing"]
+pub struct ReportGuard {
+    config: Vec<(&'static str, String)>,
+}
+
+impl ReportGuard {
+    /// Arms the guard with the config echo, in the order it is written.
+    pub fn new(mut config: Vec<(&'static str, String)>) -> ReportGuard {
+        if crate::stream::init_from_env() {
+            if let Ok(stream) = std::env::var(crate::stream::STREAM_ENV) {
+                config.push(("stream", stream));
+            }
+        }
+        ReportGuard { config }
+    }
+}
+
+impl Drop for ReportGuard {
+    fn drop(&mut self) {
+        let status = if std::thread::panicking() {
+            "panicked"
+        } else {
+            "ok"
+        };
+        let mut config = std::mem::take(&mut self.config);
+        config.push(("status", status.to_string()));
+        // A failed report write must not fail (or abort, while
+        // unwinding) the run that produced it.
+        if let Err(e) = write_from_env(&config) {
+            crate::error!("failed to write run report: {e}");
+        }
+        // After the report (so its stream-drop counter is captured):
+        // final delta + stream_summary, then the sink closes.
+        crate::stream::shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,18 +58,6 @@ use std::time::Duration;
 /// harness run) to enable streaming via [`init_from_env`].
 pub const STREAM_ENV: &str = "M3D_OBS_STREAM";
 
-/// Environment variable overriding the per-segment rotation size, bytes.
-pub const ROTATE_ENV: &str = "M3D_OBS_STREAM_ROTATE_BYTES";
-
-/// Environment variable overriding how many rotated segments are kept.
-pub const KEEP_ENV: &str = "M3D_OBS_STREAM_KEEP";
-
-/// Environment variable overriding the flush/delta interval, milliseconds.
-pub const INTERVAL_ENV: &str = "M3D_OBS_STREAM_INTERVAL_MS";
-
-/// Environment variable overriding the ring capacity, records.
-pub const RING_ENV: &str = "M3D_OBS_STREAM_RING";
-
 /// The stream-record schema identifier written in `stream_meta` lines.
 pub const STREAM_SCHEMA: &str = "m3d-obs-stream/1";
 
@@ -101,30 +89,12 @@ impl StreamConfig {
         }
     }
 
-    /// Builds a config from the environment: [`STREAM_ENV`] names the
-    /// path (required — `None` when unset or empty), with the tuning
-    /// knobs read from their respective variables when present.
+    /// The default config at the path [`STREAM_ENV`] names; `None` when
+    /// it is unset or empty.
     pub fn from_env() -> Option<StreamConfig> {
         let path = std::env::var(STREAM_ENV).ok().filter(|p| !p.is_empty())?;
-        let mut config = StreamConfig::new(path);
-        if let Some(v) = env_u64(ROTATE_ENV) {
-            config.rotate_bytes = v.max(1);
-        }
-        if let Some(v) = env_u64(KEEP_ENV) {
-            config.keep = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64(INTERVAL_ENV) {
-            config.interval = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = env_u64(RING_ENV) {
-            config.ring_capacity = (v as usize).max(1);
-        }
-        Some(config)
+        Some(StreamConfig::new(path))
     }
-}
-
-fn env_u64(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.trim().parse::<u64>().ok()
 }
 
 /// The bounded producer-side queue of pre-serialized NDJSON lines.
@@ -249,10 +219,10 @@ pub fn init(config: StreamConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Attaches a stream from the environment ([`STREAM_ENV`] and friends)
-/// unless one is already active. Returns whether a stream is active
-/// afterwards. Harness binaries call this once at startup (the bench
-/// `ReportGuard` does it for every experiment binary).
+/// Attaches a stream at the path [`STREAM_ENV`] names unless one is
+/// already active. Returns whether a stream is active afterwards.
+/// Binaries call this once at startup (the
+/// [`ReportGuard`](crate::ReportGuard) does).
 pub fn init_from_env() -> bool {
     if active() {
         return true;
@@ -292,8 +262,7 @@ pub(crate) fn publish_line(line: &str) {
     };
     if first_drop {
         crate::warn!(
-            "stream ring full ({} records) — records are being dropped (raise {RING_ENV} \
-             or lower {INTERVAL_ENV})",
+            "stream ring full ({} records) — records are being dropped",
             shared.ring_capacity
         );
     }
@@ -311,7 +280,8 @@ pub fn flush() {
 /// Detaches the active stream: stops the flusher, drains the ring, emits
 /// a final delta plus a `stream_summary` record, and closes the sink.
 /// No-op when no stream is active. Call after the last instrumented work
-/// (the bench `ReportGuard` does, after writing the run report).
+/// (the [`ReportGuard`](crate::ReportGuard) does, after writing the run
+/// report).
 pub fn shutdown() {
     let Some(mut cur) = lock_current().take() else {
         return;

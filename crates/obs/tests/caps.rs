@@ -1,37 +1,32 @@
-//! Env-configurable in-memory caps (`M3D_OBS_EVENT_CAP` /
-//! `M3D_OBS_EXTRA_CAP`). Own test binary: the caps are read once per
-//! process, so the env must be set before any span or extra is recorded
-//! — a single #[test] keeps the ordering deterministic.
+//! The in-memory caps (`registry::EVENT_CAP` / `EXTRA_CAP`). Own test
+//! binary: the registry is process-global, so no other test may record
+//! into it while the caps fill.
+
+use m3d_obs::registry::{record_extra, EVENT_CAP, EXTRA_CAP};
 
 #[test]
-fn caps_come_from_env_and_overflow_is_counted() {
-    // Must run before the registry's OnceLock caps initialize.
-    std::env::set_var(m3d_obs::registry::EVENT_CAP_ENV, "8");
-    std::env::set_var(m3d_obs::registry::EXTRA_CAP_ENV, "4");
-
-    for _ in 0..12 {
+fn default_caps_count_overflow_and_reject_newlines() {
+    for _ in 0..EVENT_CAP + 4 {
         let _g = m3d_obs::span!("test.caps.span");
     }
-    for i in 0..7 {
-        m3d_obs::registry::record_extra(format!("{{\"type\":\"audit\",\"trace_id\":0,\"i\":{i}}}"));
+    for i in 0..EXTRA_CAP + 3 {
+        record_extra(format!("{{\"type\":\"audit\",\"trace_id\":0,\"i\":{i}}}"));
     }
     // An embedded newline is rejected (counted), never framed.
-    m3d_obs::registry::record_extra("{\"type\":\"audit\",\n\"bad\":true}".to_string());
+    record_extra("{\"type\":\"audit\",\n\"bad\":true}".to_string());
 
     let snap = m3d_obs::snapshot();
-    assert_eq!(snap.events.len(), 8, "event cap honoured from env");
+    assert_eq!(snap.events.len(), EVENT_CAP, "event cap honoured");
     assert_eq!(snap.events_dropped, 4, "overflowing events counted");
-    assert_eq!(snap.extras.len(), 4, "extra cap honoured from env");
+    assert_eq!(snap.extras.len(), EXTRA_CAP, "extra cap honoured");
     assert_eq!(snap.extras_dropped, 4, "3 over cap + 1 newline-rejected");
+    assert!(
+        snap.extras.iter().all(|line| !line.contains('\n')),
+        "no multi-line record is kept"
+    );
 
     // Aggregates keep counting past the event cap: only the per-event
     // list is bounded, not the statistics.
     let span = snap.span("test.caps.span").expect("span aggregated");
-    assert_eq!(span.count, 12);
-
-    // A malformed override falls back to the default instead of
-    // disabling or unbounding telemetry.
-    std::env::set_var(m3d_obs::registry::EVENT_CAP_ENV, "not-a-number");
-    // (The active cap is latched for this process; the parse path is
-    // covered by unit tests in the registry module.)
+    assert_eq!(span.count, EVENT_CAP as u64 + 4);
 }

@@ -11,8 +11,8 @@
 //! `base * (1 + rel_tol) + abs_floor_ms`. The floor keeps microsecond
 //! stages (pure noise at CI granularity) from flapping the gate.
 
-use crate::json::{self, Json};
 use crate::report::RunReport;
+use m3d_obs::json::{self, Json};
 use m3d_obs::report::{json_number, json_string};
 use std::fmt::Write as _;
 

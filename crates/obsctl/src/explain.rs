@@ -114,7 +114,7 @@ fn render_audit(out: &mut String, a: &Audit) {
     if let Some(probs) = a
         .fields
         .get("tier_probs")
-        .and_then(crate::json::Json::as_arr)
+        .and_then(m3d_obs::json::Json::as_arr)
     {
         let rendered: Vec<String> = probs
             .iter()
@@ -219,8 +219,8 @@ pub fn explain(report: &RunReport, trace_id: u64) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use crate::report::Audit;
+    use m3d_obs::json;
 
     fn ev(name: &str, start_ns: u64, trace: u64, span: u64, parent: u64) -> SpanEvent {
         SpanEvent {

@@ -25,6 +25,8 @@
 //!   strictly monotonically across the last N archived runs, catching
 //!   slow leaks the per-run perf gate's tolerance hides.
 //!
+//! Every input is read with [`m3d_obs::json`], the workspace's one JSON
+//! reader, so a corrupt or hostile file is a parse error, never a crash.
 //! The `m3d-obsctl` binary exposes all of it on the command line; see
 //! EXPERIMENTS.md § "Profiling & perf gate".
 
@@ -33,7 +35,6 @@
 
 pub mod bench;
 pub mod explain;
-pub mod json;
 pub mod report;
 pub mod slo;
 pub mod stream;

@@ -7,7 +7,7 @@
 //! required field) are hard errors — a truncated or corrupt report must
 //! not silently produce an empty summary.
 
-use crate::json::{self, Json};
+use m3d_obs::json::{self, Json};
 use std::fmt;
 
 /// The schema identifier this tooling understands.

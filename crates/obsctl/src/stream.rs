@@ -20,8 +20,8 @@
 //! end-of-process report: same counts, same totals, same p50/p95. The
 //! streaming integration tests assert that equality.
 
-use crate::json::{self, Json};
 use crate::report::SpanEvent;
+use m3d_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 

@@ -164,8 +164,8 @@ pub fn summarize(report: &RunReport) -> String {
             let _ = writeln!(
                 out,
                 "\nWARNING: {dropped} span event(s) were DROPPED at the in-memory cap — \
-                 the timeline and trace trees above under-report; raise the cap or \
-                 shorten the run before trusting per-trace analysis"
+                 the timeline and trace trees above under-report; stream the run \
+                 (M3D_OBS_STREAM) or shorten it before trusting per-trace analysis"
             );
         }
     }

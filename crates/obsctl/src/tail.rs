@@ -9,8 +9,8 @@
 //! segment ordinal plus a per-segment record count, so records are never
 //! re-rendered after the active segment rotates away.
 
-use crate::json::Json;
 use crate::stream::{self, StreamDump, StreamRecord};
+use m3d_obs::json::Json;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
@@ -269,7 +269,7 @@ mod tests {
 
     fn audit(design: &str) -> StreamRecord {
         let line = format!("{{\"type\":\"audit\",\"trace_id\":3,\"design\":\"{design}\"}}");
-        StreamRecord::Extra(crate::json::parse(&line).expect("test json"))
+        StreamRecord::Extra(m3d_obs::json::parse(&line).expect("test json"))
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! JSON-array form, complete events (`"ph":"X"`) with microsecond
 //! `ts`/`dur`, and `pid`/`tid` on every event.
 
-use m3d_obsctl::json::{self, Json};
+use m3d_obs::json::{self, Json};
 use m3d_obsctl::{chrome_trace, report};
 
 fn fixture() -> report::RunReport {

@@ -133,11 +133,16 @@ fn mixed_snapshot_and_report_history_with_corrupt_file() {
     dir.write("0002-b-run.ndjson", &report_ndjson(11.5));
     dir.write("0003-c-BENCH_quick.json", &snapshot_json(13.5, 8.0));
     dir.write("0004-junk.json", "{ this is not json");
+    dir.write("0005-deep-BENCH_quick.json", &"[".repeat(200_000));
     dir.write("README.md", "not history at all");
     let history = trend::load_history(&dir.0).expect("history loads");
     assert_eq!(history.entries.len(), 3, "json + ndjson, filename order");
     assert_eq!(history.entries[1].label, "0002-b-run.ndjson");
-    assert_eq!(history.skipped.len(), 1, "corrupt file skipped, not fatal");
+    assert_eq!(
+        history.skipped.len(),
+        2,
+        "corrupt and over-deep files skipped, not fatal"
+    );
     let report = trend::analyze(&history, &trend::TrendConfig::default());
     assert!(
         report.drifted(),
@@ -145,6 +150,10 @@ fn mixed_snapshot_and_report_history_with_corrupt_file() {
     );
     let text = trend::render(&report, &history, &trend::TrendConfig::default());
     assert!(text.contains("skipped 0004-junk.json"), "{text}");
+    assert!(
+        text.contains("skipped 0005-deep-BENCH_quick.json"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -8,27 +8,25 @@
 //!
 //! The crate splits into:
 //!
-//! - [`json`] — dependency-free JSON reader for the flat wire objects,
 //! - [`protocol`] — request/response records and their totality
-//!   contract (`t_p_fallback` and `degrade_reason` on every record),
+//!   contract (`t_p_fallback` and `degrade_reason` on every record);
+//!   requests are read with [`m3d_obs::json`], the workspace's one JSON
+//!   reader,
 //! - [`registry`] — the design→session routing table,
 //! - [`engine`] — bounded admission, batched inference, never-500
-//!   semantics over stdin/TCP NDJSON streams,
-//! - [`guard`] — flush-on-drop report/stream telemetry for the binary.
+//!   semantics over stdin/TCP NDJSON streams.
 //!
 //! The `m3d-serve` binary wires these behind `train` / `requests` /
-//! `run` / `bench` subcommands; see `DESIGN.md` for the wire format.
+//! `run` / `bench` subcommands, with an [`m3d_obs::ReportGuard`]
+//! flushing its telemetry; see `DESIGN.md` for the wire format.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod engine;
-pub mod guard;
-pub mod json;
 pub mod protocol;
 pub mod registry;
 
 pub use engine::{process_batch, respond, serve_lines, serve_tcp, ServeConfig, ServeStats};
-pub use guard::ServeGuard;
 pub use protocol::{parse_request, Request, Response, Status, RESPONSE_KEYS};
 pub use registry::{Registry, RegistryError};

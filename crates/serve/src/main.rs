@@ -32,7 +32,7 @@ use m3d_fault_loc::{
 };
 use m3d_netlist::BenchmarkProfile;
 use m3d_obs::report::json_string;
-use m3d_serve::{engine, Registry, ServeConfig, ServeGuard};
+use m3d_serve::{engine, Registry, ServeConfig};
 use m3d_sim::write_failure_log;
 
 fn usage() -> String {
@@ -274,11 +274,11 @@ fn cmd_run(mut args: Args) -> Result<(), String> {
     with_sessions(&paths, threads, |sessions| {
         let registry = Registry::new(sessions).map_err(|e| e.to_string())?;
         let pool = builder(threads).build().pool().clone();
-        let guard_cfg = vec![
+        let _guard = m3d_obs::ReportGuard::new(vec![
+            ("bin", "m3d-serve".to_string()),
             ("designs", registry.designs().join(",")),
             ("mode", tcp.clone().unwrap_or_else(|| "stdin".to_string())),
-        ];
-        let _guard = ServeGuard::new(guard_cfg);
+        ]);
         eprintln!(
             "serving {} design(s): {} [batch {}, queue {}, {} thread(s)]",
             registry.len(),

@@ -3,8 +3,9 @@
 //!
 //! Request: `{"id":"chip-7","design":"aes/Syn-1","log":"fail pattern 3 obs 9\n..."}`
 //! where `log` is an `m3d-failure-log v1` document (the `#` header line
-//! is optional on the wire). Unknown keys are ignored so clients can
-//! attach their own metadata.
+//! is optional on the wire). A request is one JSON object whose values
+//! are strings or `null`, read with [`m3d_obs::json`]. Unknown keys are
+//! ignored so clients can attach their own metadata.
 //!
 //! Response records are *total*: every record carries every key, with
 //! `null` for fields the outcome did not produce. In particular
@@ -15,7 +16,7 @@
 //! connection on bad input: malformed lines come back as
 //! `"status":"rejected"` records (never-500 semantics).
 
-use crate::json::parse_object;
+use m3d_obs::json::{self, Json};
 use m3d_obs::report::json_string;
 
 /// A parsed diagnosis request.
@@ -30,22 +31,27 @@ pub struct Request {
     pub log: String,
 }
 
-/// Parses one request line. Missing/empty `id`, `design`, or `log` keys
-/// are errors (the caller converts them into `rejected` records).
+/// Parses one request line: a JSON object whose values are strings or
+/// `null`. Missing, `null` or empty `id`, `design`, or `log` keys are
+/// errors (the caller converts them into `rejected` records).
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_object(line)?;
-    let get = |key: &str| {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| format!("missing `{key}`"))
+    let Json::Obj(mut fields) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("request must be a JSON object".to_string());
+    };
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| !matches!(v, Json::Str(_) | Json::Null))
+    {
+        return Err(format!("value of `{key}` must be a string (or null)"));
+    }
+    let mut take = |key: &str| match fields.remove(key) {
+        Some(Json::Str(v)) if !v.is_empty() => Ok(v),
+        _ => Err(format!("missing `{key}`")),
     };
     Ok(Request {
-        id: get("id")?,
-        design: get("design")?,
-        log: get("log")?,
+        id: take("id")?,
+        design: take("design")?,
+        log: take("log")?,
     })
 }
 
@@ -205,20 +211,52 @@ mod tests {
         assert_eq!(req.design, "aes/Syn-1");
         assert_eq!(req.log, "fail pattern 3 obs 9\nfail pattern 4 obs 2");
 
+        let deep = format!(
+            r#"{{"id":"a","design":"d","log":"l","x":{}}}"#,
+            "[".repeat(100_000)
+        );
         for bad in [
             r#"{"design":"d","log":"l"}"#,
             r#"{"id":"a","log":"l"}"#,
             r#"{"id":"a","design":"d"}"#,
             r#"{"id":"","design":"d","log":"l"}"#,
+            r#"{"id":null,"design":"d","log":"l"}"#,
             "not json",
+            "",
+            "null",
+            "[1]",
+            r#"{"k":1}"#,
+            r#"{"id":"a","design":"d","log":"l","k":1}"#,
+            r#"{"id":"a","design":"d","log":"l","k":["x"]}"#,
+            r#"{"id":"a","design":"d","log":"l","k":{}}"#,
+            r#"{"id":"\u+041","design":"d","log":"l"}"#,
+            r#"{"id":"a","id":"b","design":"d","log":"l"}"#,
+            &deep,
         ] {
-            assert!(parse_request(bad).is_err(), "must reject {bad:?}");
+            assert!(
+                parse_request(bad).is_err(),
+                "must reject {:?}",
+                bad.get(..60).unwrap_or(bad)
+            );
         }
     }
 
     #[test]
+    fn non_ascii_logs_parse_in_linear_time() {
+        // 256 KiB of a two-byte character: a reader that revisits the
+        // rest of the line at each one takes many seconds here.
+        let log = "é".repeat(128 << 10);
+        let line = format!(r#"{{"id":"a","design":"d","log":"{log}"}}"#);
+        let start = std::time::Instant::now();
+        let req = parse_request(&line).expect("well-formed request");
+        let took = start.elapsed();
+        assert_eq!(req.log, log);
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
+    #[test]
     fn unknown_keys_are_ignored() {
-        let req = parse_request(r#"{"id":"a","lot":"7","design":"d","log":"l"}"#)
+        let req = parse_request(r#"{"id":"a","lot":"7","note":null,"design":"d","log":"l"}"#)
             .expect("extra keys tolerated");
         assert_eq!(req.id, "a");
     }

@@ -18,6 +18,7 @@ use m3d_fault_loc::{
     PipelineBuilder, TestBench, TestBenchConfig, TrainingSet,
 };
 use m3d_netlist::BenchmarkProfile;
+use m3d_obs::json::{self, Json};
 use m3d_obs::report::json_string;
 use m3d_serve::{engine, protocol::RESPONSE_KEYS, Registry, ServeConfig};
 use m3d_sim::{write_failure_log, FailureLog};
@@ -69,12 +70,16 @@ fn request_line(id: &str, design: &str, log: &FailureLog) -> String {
     line
 }
 
-/// Parses a response line with the crate's own JSON parser (values only
-/// come back for string fields, so presence checks use the raw line).
+/// Parses a response line as one JSON object and asserts it carries
+/// every key of the totality contract.
 fn assert_well_formed(line: &str) {
+    let record = match json::parse(line) {
+        Ok(Json::Obj(record)) => record,
+        other => panic!("response must be one JSON object ({other:?}): {line}"),
+    };
     for key in RESPONSE_KEYS {
         assert!(
-            line.contains(&format!("\"{key}\":")),
+            record.contains_key(key),
             "response must carry `{key}`: {line}"
         );
     }
