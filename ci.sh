@@ -43,6 +43,12 @@ echo "== cargo test -q (M3D_THREADS=1, serial pool) =="
 # parallel schedule.
 M3D_THREADS=1 cargo test -q
 
+echo "== cargo test -q (benchmark workspace) =="
+# benchmark/ is a cargo workspace of its own, built against the library
+# crates as path dependencies; nothing else compiles it, so an API change
+# it depends on would otherwise surface only when the benchmark runs.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test -q -p m3d-gnn (M3D_SIMD=scalar, canonical backend) =="
 # The scalar backend is the canonical lane-order reference; the gnn suite
 # (goldens included) must pass bit-identically with dispatch forced to it.

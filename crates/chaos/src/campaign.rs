@@ -238,7 +238,7 @@ pub fn run_scenario(
                 t_update_ms: t_update.as_secs_f64() * 1e3,
             };
             if m3d_obs::registry::enabled() {
-                m3d_obs::registry::record_extra(audit.to_json_line());
+                m3d_obs::registry::record_extra(audit);
             }
             (reason.map(str::to_string), out)
         }

@@ -2,14 +2,16 @@
 //! log's verdict.
 //!
 //! [`crate::Framework::process_case`] builds one [`DiagnosisAudit`] per
-//! case and — when metric recording is enabled — registers its NDJSON
-//! serialization with the m3d-obs registry as an extra record, so every
-//! run report carries one `{"type":"audit",...}` line per diagnosis.
+//! case and — when metric recording is enabled — registers it with the
+//! m3d-obs registry as an extra record, kept typed and serialized when the
+//! report is written, so every run report carries one
+//! `{"type":"audit",...}` line per diagnosis.
 //! `m3d-obsctl explain <trace-id>` joins the record with the span tree of
 //! the same trace to render the diagnosis end-to-end, and a future
 //! `m3d-serve` returns the same record to callers.
 
 use crate::backtrace::BacktraceStats;
+use m3d_obs::registry::JsonLine;
 use m3d_obs::report::{json_number, json_string};
 
 /// Everything a caller needs to audit one diagnosis: what the log looked
@@ -69,10 +71,10 @@ pub struct DiagnosisAudit {
     pub t_update_ms: f64,
 }
 
-impl DiagnosisAudit {
-    /// Serializes the audit as one NDJSON line of type `audit` (no
-    /// trailing newline), matching the m3d-obs run-report schema.
-    pub fn to_json_line(&self) -> String {
+/// One NDJSON line of type `audit`, matching the m3d-obs run-report
+/// schema.
+impl JsonLine for DiagnosisAudit {
+    fn json_line(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push_str("{\"type\":\"audit\"");
         out.push_str(&format!(",\"trace_id\":{}", self.trace_id));
@@ -123,8 +125,6 @@ impl DiagnosisAudit {
         out.push_str(",\"t_update_ms\":");
         json_number(&mut out, self.t_update_ms);
         out.push('}');
-        // The obs registry keeps every audit line for the whole run.
-        out.shrink_to_fit();
         out
     }
 }
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn audit_serializes_to_one_json_object_line() {
-        let line = audit().to_json_line();
+        let line = audit().json_line();
         assert!(line.starts_with("{\"type\":\"audit\",\"trace_id\":7"));
         assert!(line.ends_with('}'));
         assert!(!line.contains('\n'));
@@ -175,17 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn audit_line_holds_no_spare_capacity() {
-        let line = audit().to_json_line();
-        assert_eq!(line.capacity(), line.len());
-    }
-
-    #[test]
     fn degrade_reason_and_non_finite_values_serialize_safely() {
         let mut a = audit();
         a.degrade_reason = Some("non_finite_features");
         a.feature_mean = f64::NAN;
-        let line = a.to_json_line();
+        let line = a.json_line();
         assert!(line.contains("\"degrade_reason\":\"non_finite_features\""));
         assert!(line.contains("\"feature_mean\":null"));
     }

@@ -435,10 +435,10 @@ impl Framework {
             t_gnn_ms: t_gnn.as_secs_f64() * 1e3,
             t_update_ms: t_update.as_secs_f64() * 1e3,
         };
-        // Serialization and the per-design SLO keys cost allocations, so
-        // the disabled path (obs-overhead budget) skips them entirely.
+        // The audit's copy and the per-design SLO keys cost allocations,
+        // so the disabled path (obs-overhead budget) skips them entirely.
         if m3d_obs::registry::enabled() {
-            m3d_obs::registry::record_extra(audit.to_json_line());
+            m3d_obs::registry::record_extra(audit.clone());
             record_slo(&audit, t_case.elapsed());
         }
 

@@ -7,15 +7,17 @@
 //!    (possibly compaction-ambiguous) observation points; intersect across
 //!    observations (with a coverage-based fallback for multi-fault logs).
 //! 2. **Match scoring** — expand suspect nets to pin-level TDF candidates,
-//!    fault-simulate each against the full pattern set, compact the
-//!    simulated failures the same way the tester did, and score by
-//!    TFSF/TFSP/TPSF agreement.
+//!    fault-simulate each, compact the simulated failures the same way the
+//!    tester did, and score by TFSF/TFSP/TPSF agreement. A screen on the
+//!    log's failing patterns fixes each candidate's TFSF first; only a
+//!    candidate that could be kept is simulated on the full pattern set
+//!    for its TPSF.
 //! 3. **Ranking** — exact log matches first (the defect's equivalence
 //!    class), then strong partial matches, capped at a report limit.
 
 use crate::report::{Candidate, DiagnosisReport};
 use m3d_netlist::{topo, NetId, PinRef, ScanChains};
-use m3d_sim::{FailureLog, FaultSimulator, Polarity, Tdf};
+use m3d_sim::{Detection, FailureLog, FaultSimulator, Polarity, Tdf};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -78,18 +80,31 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     /// re-diagnose the residual log, so every defect's sensitized path
     /// appears in the report (bounded recursion; single-fault logs never
     /// recurse because their head candidate explains everything).
+    ///
+    /// Adds the candidates scored and those fault-simulated in full, over
+    /// every residual pass, to the `diagnosis.candidates` and
+    /// `diagnosis.candidates_simulated` counters.
     pub fn diagnose(&self, log: &FailureLog) -> DiagnosisReport {
         let _span = m3d_obs::span!("diagnosis.diagnose");
-        self.diagnose_residual(log, 0)
+        let mut work = ScoreWork::default();
+        let report = self.diagnose_residual(log, 0, &mut work);
+        m3d_obs::counter!("diagnosis.candidates", work.candidates);
+        m3d_obs::counter!("diagnosis.candidates_simulated", work.simulated);
+        report
     }
 
-    fn diagnose_residual(&self, log: &FailureLog, depth: usize) -> DiagnosisReport {
+    fn diagnose_residual(
+        &self,
+        log: &FailureLog,
+        depth: usize,
+        work: &mut ScoreWork,
+    ) -> DiagnosisReport {
         if log.is_empty() {
             return DiagnosisReport::default();
         }
         let nets = self.structural_candidates(log);
         let faults = self.expand_to_faults(&nets);
-        let mut report = self.score_and_rank(log, faults);
+        let mut report = self.score_and_rank(log, faults, work);
 
         // Residual pass: if the head candidate leaves a meaningful share of
         // the failures unexplained, another defect is present.
@@ -102,7 +117,7 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
                     && residual.len() < log.len()
                     && (residual.len() as f64) >= 0.15 * log.len() as f64;
                 if sizable {
-                    let sub = self.diagnose_residual(&FailureLog::new(residual), depth + 1);
+                    let sub = self.diagnose_residual(&FailureLog::new(residual), depth + 1, work);
                     let mut seen: BTreeSet<Tdf> =
                         report.candidates().iter().map(|c| c.fault).collect();
                     for c in sub.candidates() {
@@ -219,10 +234,29 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     }
 
     /// Phase 2b/3: score candidates against the tester log and rank.
-    fn score_and_rank(&self, log: &FailureLog, faults: Vec<Tdf>) -> DiagnosisReport {
+    ///
+    /// Each candidate is first simulated on the log's failing patterns
+    /// only. Compaction folds per pattern, so that log holds every
+    /// predicted failure on those patterns and its overlap with the tester
+    /// log is the final TFSF. Only a candidate that could then be kept — an
+    /// exact match (TFSF equals the log's length) or a partial match over
+    /// the floor — is simulated in full for its TPSF.
+    fn score_and_rank(
+        &self,
+        log: &FailureLog,
+        faults: Vec<Tdf>,
+        work: &mut ScoreWork,
+    ) -> DiagnosisReport {
         let nl = self.fsim.netlist();
         let observed = log.entries();
         let n_obs = observed.len() as f64;
+        let mut failing = vec![0u64; self.fsim.patterns().word_count()];
+        for e in observed {
+            if let Some(word) = failing.get_mut(e.pattern as usize / 64) {
+                *word |= 1 << (e.pattern % 64);
+            }
+        }
+        work.candidates += faults.len() as u64;
         let mut scored: Vec<Candidate> = Vec::new();
         for fault in faults {
             // Candidates from `expand_to_faults` always resolve, but
@@ -233,50 +267,70 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
                 m3d_obs::warn!("diagnosis: skipping candidate {fault}: site resolves to no net");
                 continue;
             }
-            let sim_log = self.simulate_log(&[fault]);
-            let predicted = sim_log.entries();
-            if predicted.is_empty() {
+            let screened = self.fold(&self.fsim.simulate_masked(&[fault], &failing));
+            let tfsf = merge_count(observed, screened.entries(), |_| {});
+            let partial = f64::from(tfsf as u32) >= self.cfg.partial_floor * n_obs;
+            if tfsf == 0 || !(tfsf == observed.len() || partial) {
                 continue;
             }
-            let tfsf = merge_count(observed, predicted, |_| {});
-            if tfsf == 0 {
-                continue;
-            }
+            work.simulated += 1;
+            let predicted = self.simulate_log(&[fault]).len();
             let cand = Candidate {
                 fault,
                 tfsf: tfsf as u32,
                 tfsp: (observed.len() - tfsf) as u32,
-                tpsf: (predicted.len() - tfsf) as u32,
+                tpsf: (predicted - tfsf) as u32,
             };
-            if cand.is_exact() || f64::from(cand.tfsf) >= self.cfg.partial_floor * n_obs {
+            if cand.is_exact() || partial {
                 scored.push(cand);
             }
         }
-        // Transition faults are small-delay defects: a candidate predicting
-        // *more* failures than observed (TPSF) is entirely plausible — the
-        // extra paths simply had slack — so commercial tools rank by the
-        // explained-failure count and report the whole tied sensitized-path
-        // class, not a fine-grained match order. Tie-break by site order
-        // (the deterministic listing order of a path-tracing tool).
-        scored.sort_by(|a, b| {
-            b.tfsf
-                .cmp(&a.tfsf)
-                .then_with(|| a.tfsp.cmp(&b.tfsp))
-                .then_with(|| a.fault.cmp(&b.fault))
-        });
-        scored.truncate(self.cfg.max_candidates);
-        DiagnosisReport::new(scored)
+        rank(scored, self.cfg.max_candidates)
     }
 
     /// Simulates a fault list into a failure log in the same observation
     /// mode (compacted or bypass) as the tester.
     pub fn simulate_log(&self, faults: &[Tdf]) -> FailureLog {
-        let detections = self.fsim.simulate(faults);
+        self.fold(&self.fsim.simulate(faults))
+    }
+
+    /// Folds detections into a failure log the way the tester observes.
+    fn fold(&self, detections: &[Detection]) -> FailureLog {
         match self.chains {
-            Some(chains) => FailureLog::compacted(&detections, self.fsim.obs(), chains),
-            None => FailureLog::uncompacted(&detections),
+            Some(chains) => FailureLog::compacted(detections, self.fsim.obs(), chains),
+            None => FailureLog::uncompacted(detections),
         }
     }
+}
+
+/// Candidate-scoring work of one [`AtpgDiagnosis::diagnose`] call,
+/// accumulated locally and added to the registry once.
+#[derive(Debug, Default)]
+struct ScoreWork {
+    /// Candidates scored.
+    candidates: u64,
+    /// Candidates that passed the failing-pattern screen and were
+    /// simulated on every pattern.
+    simulated: u64,
+}
+
+/// Ranks scored candidates and caps the report at `max_candidates`.
+///
+/// Transition faults are small-delay defects: a candidate predicting
+/// *more* failures than observed (TPSF) is entirely plausible — the extra
+/// paths simply had slack — so commercial tools rank by the
+/// explained-failure count and report the whole tied sensitized-path
+/// class, not a fine-grained match order. Ties break by site order (the
+/// deterministic listing order of a path-tracing tool).
+fn rank(mut scored: Vec<Candidate>, max_candidates: usize) -> DiagnosisReport {
+    scored.sort_by(|a, b| {
+        b.tfsf
+            .cmp(&a.tfsf)
+            .then_with(|| a.tfsp.cmp(&b.tfsp))
+            .then_with(|| a.fault.cmp(&b.fault))
+    });
+    scored.truncate(max_candidates);
+    DiagnosisReport::new(scored)
 }
 
 /// The nets whose count passes `keep`, in ascending [`NetId`] order.
@@ -589,6 +643,105 @@ mod tests {
                     chains.is_some()
                 );
                 floor_cases += usize::from(floor && !want.is_empty());
+            }
+        }
+        assert!(floor_cases > 0, "no log exercised the coverage floor");
+    }
+
+    /// Phase 2b/3 as first written: every candidate fault-simulated on the
+    /// full pattern set, with no failing-pattern screen.
+    fn reference_score_and_rank(
+        diag: &AtpgDiagnosis<'_, '_>,
+        log: &FailureLog,
+        faults: &[Tdf],
+    ) -> DiagnosisReport {
+        let observed = log.entries();
+        let n_obs = observed.len() as f64;
+        let mut scored = Vec::new();
+        for &fault in faults {
+            if diag.fsim.netlist().pin_net(fault.site).is_none() {
+                continue;
+            }
+            let sim_log = diag.simulate_log(&[fault]);
+            let predicted = sim_log.entries();
+            let tfsf = merge_count(observed, predicted, |_| {});
+            if tfsf == 0 {
+                continue;
+            }
+            let cand = Candidate {
+                fault,
+                tfsf: tfsf as u32,
+                tfsp: (observed.len() - tfsf) as u32,
+                tpsf: (predicted.len() - tfsf) as u32,
+            };
+            if cand.is_exact() || f64::from(cand.tfsf) >= diag.cfg.partial_floor * n_obs {
+                scored.push(cand);
+            }
+        }
+        rank(scored, diag.cfg.max_candidates)
+    }
+
+    #[test]
+    fn screened_scoring_matches_reference() {
+        let fx = fixture();
+        let chains = ScanChains::stitch(&fx.nl, 8, 4);
+        let fsim = FaultSimulator::new(&fx.nl, &fx.pats);
+        let singles = detectable_faults(&fsim, 8, 19);
+        let mut floor_cases = 0;
+        for chains in [None, Some(&chains)] {
+            for partial_floor in [0.0, 0.3, 1.5] {
+                let cfg = DiagnosisConfig {
+                    partial_floor,
+                    ..DiagnosisConfig::default()
+                };
+                let diag = AtpgDiagnosis::new(&fsim, chains, cfg);
+                let what = format!("floor {partial_floor}, compacted {}", chains.is_some());
+                let mut logs: Vec<FailureLog> =
+                    singles.iter().map(|f| diag.simulate_log(&[*f])).collect();
+                for k in 0..4 {
+                    let faults = detectable_faults(&fsim, 2 + k % 3, 37 + 13 * k);
+                    logs.push(diag.simulate_log(&faults));
+                }
+                let mut entries = logs[0].entries().to_vec();
+                entries.push(FailEntry {
+                    pattern: u32::MAX - 1,
+                    obs: entries[0].obs,
+                });
+                entries.push(FailEntry {
+                    pattern: 0,
+                    obs: m3d_sim::FailObs::Direct(ObsId(9_999_999)),
+                });
+                logs.push(FailureLog::new(entries));
+                logs.push(FailureLog::default());
+                let mut work = ScoreWork::default();
+                for (i, log) in logs.iter().enumerate() {
+                    // The empty log is scored against the first log's
+                    // candidates: none may match it.
+                    let suspects =
+                        diag.structural_candidates(if log.is_empty() { &logs[0] } else { log });
+                    let faults = diag.expand_to_faults(&suspects);
+                    let (_, floor) = reference_structural_candidates(&diag, log);
+                    floor_cases += usize::from(floor && !suspects.is_empty());
+                    let report = diag.score_and_rank(log, faults.clone(), &mut work);
+                    assert_eq!(
+                        report,
+                        reference_score_and_rank(&diag, log, &faults),
+                        "{what}, log {i}"
+                    );
+                    if i < singles.len() {
+                        // The injected fault reproduces its own log, so an
+                        // exact match survives every floor.
+                        assert!(
+                            report.candidates().iter().any(Candidate::is_exact),
+                            "{what}, log {i}: exact match dropped"
+                        );
+                    }
+                }
+                assert!(
+                    work.simulated < work.candidates,
+                    "{what}: the screen simulated all {} candidates",
+                    work.candidates
+                );
             }
         }
         assert!(floor_cases > 0, "no log exercised the coverage floor");

@@ -4,9 +4,11 @@
 //! case), so a mutex is cheap; hot loops accumulate locally and add once.
 
 use crate::hist::Histogram;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Aggregated statistics of one named span.
@@ -38,7 +40,7 @@ pub struct EpochPoint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span name.
-    pub name: String,
+    pub name: &'static str,
     /// Small per-process thread id (1-based, assigned on first span).
     pub tid: u32,
     /// Begin offset from the process epoch, in nanoseconds.
@@ -59,13 +61,31 @@ pub struct SpanEvent {
 /// dropped (the count of drops is still tracked). Spans are recorded at
 /// pipeline-stage granularity, so this bound is generous; it exists to
 /// keep a runaway hot-loop span from exhausting memory. A live stream
-/// (`M3D_OBS_STREAM`) carries every event regardless.
+/// (`M3D_OBS_STREAM`) carries every event regardless. An event holds no
+/// heap data: 64 bytes each, 4 MiB at the cap.
 pub const EVENT_CAP: usize = 1 << 16;
 
-/// Cap on extra records (pre-serialized NDJSON lines, e.g. diagnosis
-/// audits) kept in memory per run before new ones are dropped. One audit
-/// is recorded per diagnosed failure log, so this bound is generous.
+/// Cap on extra records (e.g. diagnosis audits) kept in memory per run
+/// before new ones are dropped. One audit is recorded per diagnosed
+/// failure log, so this bound is generous. Records are kept typed and
+/// serialized only when the report is written or a stream publishes
+/// them.
 pub const EXTRA_CAP: usize = 1 << 14;
+
+/// A record the run report carries verbatim, one per line, beside the
+/// registry's own (e.g. a `{"type":"audit",...}` diagnosis audit).
+pub trait JsonLine: Debug + Send + Sync + 'static {
+    /// The record as one complete single-line JSON object with a `type`
+    /// field, without a trailing newline.
+    fn json_line(&self) -> String;
+}
+
+/// A record serialized by its caller.
+impl JsonLine for String {
+    fn json_line(&self) -> String {
+        self.clone()
+    }
+}
 
 /// One-shot latches so the first dropped record of each kind is loudly
 /// visible in the log instead of only post-hoc in `summarize`.
@@ -80,7 +100,7 @@ struct Inner {
     curves: BTreeMap<String, Vec<EpochPoint>>,
     events: Vec<SpanEvent>,
     events_dropped: u64,
-    extras: Vec<String>,
+    extras: Vec<Arc<dyn JsonLine>>,
     extras_dropped: u64,
 }
 
@@ -185,7 +205,7 @@ fn record_stat(inner: &mut Inner, name: &str, ns: u64) {
 /// `span_event` NDJSON line — streaming is not subject to the in-memory
 /// cap, which is exactly why it exists.
 pub fn record_span_event(
-    name: &str,
+    name: &'static str,
     start_ns: u64,
     dur_ns: u64,
     trace_id: u64,
@@ -206,7 +226,7 @@ pub fn record_span_event(
         record_stat(&mut inner, name, dur_ns);
         if inner.events.len() < EVENT_CAP {
             inner.events.push(SpanEvent {
-                name: name.to_string(),
+                name,
                 tid,
                 start_ns,
                 dur_ns,
@@ -230,16 +250,17 @@ pub fn record_span_event(
     }
 }
 
-/// Records one extra NDJSON record to be emitted verbatim in the run
-/// report (e.g. a `{"type":"audit",...}` diagnosis audit). The caller
-/// must pass one complete single-line JSON object with a `type` field the
-/// schema's consumers either know or skip; newlines are rejected (the
-/// record is dropped and counted) since they would corrupt the stream.
-pub fn record_extra(line: String) {
+/// Records one extra record to be emitted verbatim in the run report
+/// (e.g. a `{"type":"audit",...}` diagnosis audit). Its line must be one
+/// complete single-line JSON object with a `type` field the schema's
+/// consumers either know or skip. A `String` record holding a newline is
+/// rejected (dropped and counted), since it would corrupt the stream.
+pub fn record_extra(record: impl JsonLine) {
     if !enabled() {
         return;
     }
-    if line.contains('\n') {
+    let as_string = (&record as &dyn Any).downcast_ref::<String>();
+    if as_string.is_some_and(|line| line.contains('\n')) {
         // A multi-line record would corrupt both the report and the
         // stream: reject it outright (counted, never framed).
         locked().extras_dropped += 1;
@@ -251,7 +272,7 @@ pub fn record_extra(line: String) {
         return;
     }
     if crate::stream::active() {
-        crate::stream::publish_line(&line);
+        crate::stream::publish_line(&record.json_line());
     }
     let dropped = {
         let mut inner = locked();
@@ -259,7 +280,7 @@ pub fn record_extra(line: String) {
             inner.extras_dropped += 1;
             true
         } else {
-            inner.extras.push(line);
+            inner.extras.push(Arc::new(record));
             false
         }
     };
@@ -340,9 +361,9 @@ pub struct Snapshot {
     pub events: Vec<SpanEvent>,
     /// Span events discarded after the in-memory cap was reached.
     pub events_dropped: u64,
-    /// Extra pre-serialized NDJSON records in recording order (e.g.
-    /// diagnosis audits), emitted verbatim by the report writer.
-    pub extras: Vec<String>,
+    /// Extra records in recording order (e.g. diagnosis audits), emitted
+    /// verbatim by the report writer.
+    pub extras: Vec<Arc<dyn JsonLine>>,
     /// Extra records discarded after the in-memory cap was reached.
     pub extras_dropped: u64,
 }

@@ -200,7 +200,7 @@ impl RunReport {
         }
         for e in &self.snapshot.events {
             out.push_str(&span_event_line(
-                &e.name,
+                e.name,
                 e.tid,
                 e.start_ns,
                 e.dur_ns,
@@ -211,7 +211,7 @@ impl RunReport {
             out.push('\n');
         }
         for extra in &self.snapshot.extras {
-            out.push_str(extra);
+            out.push_str(&extra.json_line());
             out.push('\n');
         }
         if self.snapshot.events_dropped > 0 {

@@ -21,7 +21,7 @@ fn default_caps_count_overflow_and_reject_newlines() {
     assert_eq!(snap.extras.len(), EXTRA_CAP, "extra cap honoured");
     assert_eq!(snap.extras_dropped, 4, "3 over cap + 1 newline-rejected");
     assert!(
-        snap.extras.iter().all(|line| !line.contains('\n')),
+        snap.extras.iter().all(|r| !r.json_line().contains('\n')),
         "no multi-line record is kept"
     );
 

@@ -14,9 +14,18 @@
 //! - **Observers.** Flip-flops, primary outputs and test points that load a
 //!   faulty net are collected, never evaluated. At the end of the word each
 //!   one's captured value, with the faults on its own input pin applied, is
-//!   compared with V2 under the word's tail mask. A flop is evaluated only
-//!   as a seed, for a fault on its Q pin (a slow clock-to-Q delays the
+//!   compared with V2 under the word's pattern mask. A flop is evaluated
+//!   only as a seed, for a fault on its Q pin (a slow clock-to-Q delays the
 //!   launch transition on the Q net itself).
+//!
+//! **Pattern masks.** [`FaultSimulator::simulate_masked`] simulates only
+//! the patterns whose bits a per-word mask sets; [`FaultSimulator::simulate`]
+//! is the all-ones mask. A word whose mask is zero is skipped, a wave stops
+//! at a net whose faulty value equals V2 on the mask's bits, and observer
+//! differences are taken under the mask. Each pattern pair occupies its own
+//! bit lane and every gate function and fault polarity is bitwise, so the
+//! lanes outside the mask never reach the lanes inside it: the masked
+//! detections are exactly the full detections on the masked patterns.
 //!
 //! Multi-site fault lists (MIV defects span several load pins; Table X
 //! injects 2–5 TDFs per tier) are simulated jointly in one faulty pass:
@@ -63,6 +72,8 @@ pub struct FaultSimulator<'a> {
     /// Topological position of every gate, and the gate at each position.
     topo_pos: Vec<u32>,
     order: Vec<GateId>,
+    /// The all-ones pattern mask, one word per pattern word.
+    every_pattern: Vec<u64>,
     /// Scratch of finished calls, reused by the next ones.
     spare: Mutex<Vec<Scratch>>,
 }
@@ -99,6 +110,7 @@ impl<'a> FaultSimulator<'a> {
             obs,
             topo_pos,
             order,
+            every_pattern: vec![u64::MAX; pats.word_count()],
             spare: Mutex::new(Vec::new()),
         }
     }
@@ -126,8 +138,17 @@ impl<'a> FaultSimulator<'a> {
     /// Simulates a (possibly multi-site) fault and returns every detection,
     /// sorted by `(pattern, obs)`.
     pub fn simulate(&self, faults: &[Tdf]) -> Vec<Detection> {
+        self.simulate_masked(faults, &self.every_pattern)
+    }
+
+    /// [`FaultSimulator::simulate`] restricted to the patterns whose bits
+    /// `mask` sets: bit `p % 64` of word `p / 64` selects pattern `p`.
+    /// Words past the end of `mask` select nothing, and bits past the last
+    /// pattern are ignored. Returns exactly the detections of `simulate`
+    /// on the selected patterns.
+    pub fn simulate_masked(&self, faults: &[Tdf], mask: &[u64]) -> Vec<Detection> {
         let mut out = Vec::new();
-        self.run_fault(faults, Stop::Never, &mut |w, obs, diff| {
+        self.run_fault(faults, mask, Stop::Never, &mut |w, obs, diff| {
             let mut bits = diff;
             while bits != 0 {
                 let b = bits.trailing_zeros();
@@ -147,24 +168,38 @@ impl<'a> FaultSimulator<'a> {
         let mut best: Option<u32> = None;
         // A later observer of the same word may fail at an earlier bit, but
         // later words only hold larger indices.
-        self.run_fault(faults, Stop::AfterWord, &mut |w, _obs, diff| {
-            let p = (w * 64) as u32 + diff.trailing_zeros();
-            best = Some(best.map_or(p, |b| b.min(p)));
-        });
+        self.run_fault(
+            faults,
+            &self.every_pattern,
+            Stop::AfterWord,
+            &mut |w, _obs, diff| {
+                let p = (w * 64) as u32 + diff.trailing_zeros();
+                best = Some(best.map_or(p, |b| b.min(p)));
+            },
+        );
         best
     }
 
     /// Returns `true` if any pattern detects the fault.
     pub fn detects(&self, faults: &[Tdf]) -> bool {
         let mut hit = false;
-        self.run_fault(faults, Stop::Now, &mut |_, _, _| hit = true);
+        self.run_fault(faults, &self.every_pattern, Stop::Now, &mut |_, _, _| {
+            hit = true
+        });
         hit
     }
 
-    /// Core event-driven faulty evaluation. Calls `on_fail(word, obs, diff)`
-    /// for every observation point with a nonzero failing-pattern mask, in
-    /// no particular order within a word, and stops as `stop` says.
-    fn run_fault(&self, faults: &[Tdf], stop: Stop, on_fail: &mut dyn FnMut(usize, ObsId, u64)) {
+    /// Core event-driven faulty evaluation on the patterns `mask` selects.
+    /// Calls `on_fail(word, obs, diff)` for every observation point with a
+    /// nonzero failing-pattern mask, in no particular order within a word,
+    /// and stops as `stop` says.
+    fn run_fault(
+        &self,
+        faults: &[Tdf],
+        mask: &[u64],
+        stop: Stop,
+        on_fail: &mut dyn FnMut(usize, ObsId, u64),
+    ) {
         if faults.is_empty() {
             return;
         }
@@ -174,8 +209,9 @@ impl<'a> FaultSimulator<'a> {
             .expect("fault-sim scratch list poisoned")
             .pop()
             .unwrap_or_else(|| Scratch::new(self.nl.net_count(), self.nl.gate_count()));
-        for w in 0..self.pats.word_count() {
-            if self.run_word(faults, w, stop, &mut s, on_fail) && stop != Stop::Never {
+        for (w, &m) in mask.iter().enumerate().take(self.pats.word_count()) {
+            let m = m & self.pats.tail_mask(w);
+            if m != 0 && self.run_word(faults, w, m, stop, &mut s, on_fail) && stop != Stop::Never {
                 break;
             }
         }
@@ -185,12 +221,13 @@ impl<'a> FaultSimulator<'a> {
             .push(s);
     }
 
-    /// Simulates word `w` and reports its failing observers; returns
-    /// whether there was one.
+    /// Simulates word `w` on the patterns `mask` selects and reports its
+    /// failing observers; returns whether there was one.
     fn run_word(
         &self,
         faults: &[Tdf],
         w: usize,
+        mask: u64,
         stop: Stop,
         s: &mut Scratch,
         on_fail: &mut dyn FnMut(usize, ObsId, u64),
@@ -211,7 +248,7 @@ impl<'a> FaultSimulator<'a> {
                 if gate.kind.is_sequential() {
                     let q = gate.output.expect("flop drives Q");
                     let out = apply_faults(faults, PinRef::output(g), v1[q.index()], v2[q.index()]);
-                    self.propagate(s, q, out, v2);
+                    self.propagate(s, q, out, v2, mask);
                 }
                 continue;
             }
@@ -234,10 +271,9 @@ impl<'a> FaultSimulator<'a> {
             if hosts_fault {
                 out = apply_faults(faults, PinRef::output(g), v1[out_net.index()], out);
             }
-            self.propagate(s, out_net, out, v2);
+            self.propagate(s, out_net, out, v2, mask);
         }
 
-        let mask = self.pats.tail_mask(w);
         let mut detected = false;
         for &id in &s.observers {
             let p = self.obs.point(id);
@@ -255,11 +291,11 @@ impl<'a> FaultSimulator<'a> {
         detected
     }
 
-    /// Records `out` on `net` when it differs from the fault-free V2 word,
-    /// and then schedules the net's loads: observers are collected, any
-    /// other gate is queued.
-    fn propagate(&self, s: &mut Scratch, net: NetId, out: u64, v2: &[u64]) {
-        if out == v2[net.index()] {
+    /// Records `out` on `net` when it differs from the fault-free V2 word
+    /// on the bits of `mask`, and then schedules the net's loads: observers
+    /// are collected, any other gate is queued.
+    fn propagate(&self, s: &mut Scratch, net: NetId, out: u64, v2: &[u64], mask: u64) {
+        if (out ^ v2[net.index()]) & mask == 0 {
             return;
         }
         s.faulty[net.index()] = out;

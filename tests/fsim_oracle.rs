@@ -7,7 +7,8 @@
 //! generated netlists with test points, for single faults at every pin
 //! kind and for multi-site lists, at pattern counts that are not a
 //! multiple of 64 — and a simulator shared by four workers must answer
-//! exactly as it does serially.
+//! exactly as it does serially. `simulate_masked` must return the
+//! reference's detections on the masked patterns and no others.
 
 use std::collections::{HashMap, HashSet};
 
@@ -239,11 +240,61 @@ fn multi_site_lists(nl: &Netlist) -> Vec<Vec<Tdf>> {
     lists
 }
 
+/// The detections of `all` whose pattern `mask` selects.
+fn on_mask(all: &[Detection], mask: &[u64]) -> Vec<Detection> {
+    all.iter()
+        .filter(|d| {
+            let p = d.pattern as usize;
+            mask.get(p / 64).is_some_and(|m| (m >> (p % 64)) & 1 == 1)
+        })
+        .copied()
+        .collect()
+}
+
+/// The mask of patterns 1, 4, 7, …
+fn every_third(pats: &PatternSet) -> Vec<u64> {
+    let mut mask = vec![0u64; pats.word_count()];
+    for p in (1..pats.len()).step_by(3) {
+        mask[p / 64] |= 1 << (p % 64);
+    }
+    mask
+}
+
+/// Pattern masks over `pats`: none, all, one pattern (the first, the
+/// last, and each of `picks`), every third pattern, and a mask setting
+/// every bit of the tail word, past the last pattern included.
+fn masks(pats: &PatternSet, picks: &[u32]) -> Vec<Vec<u64>> {
+    let words = pats.word_count();
+    let single = |p: usize| {
+        let mut m = vec![0u64; words];
+        m[p / 64] |= 1 << (p % 64);
+        m
+    };
+    let mut out = vec![vec![0; words], vec![u64::MAX; words], every_third(pats)];
+    out.push(single(0));
+    out.push(single(pats.len() - 1));
+    out.extend(picks.iter().map(|&p| single(p as usize)));
+    let mut tail = vec![0u64; words];
+    tail[words - 1] = u64::MAX;
+    out.push(tail);
+    out
+}
+
 fn check_against_reference(fsim: &FaultSimulator<'_>, lists: &[Vec<Tdf>], what: &str) -> usize {
     let mut detected = 0;
     for faults in lists {
         let want = reference_simulate(fsim, faults);
         assert_eq!(fsim.simulate(faults), want, "{what}: simulate {faults:?}");
+        // Single-bit masks on a failing pattern of this list, where there
+        // is one.
+        let picks: Vec<u32> = want.iter().step_by(7).map(|d| d.pattern).collect();
+        for mask in masks(fsim.patterns(), &picks) {
+            assert_eq!(
+                fsim.simulate_masked(faults, &mask),
+                on_mask(&want, &mask),
+                "{what}: simulate_masked {faults:?} on {mask:x?}"
+            );
+        }
         assert_eq!(
             fsim.first_detecting_pattern(faults),
             want.first().map(|d| d.pattern),
@@ -280,6 +331,7 @@ fn event_driven_simulation_matches_reference() {
             multis.len()
         );
         assert!(fsim.simulate(&[]).is_empty());
+        assert!(fsim.simulate_masked(&[], &[u64::MAX; 3]).is_empty());
     }
 }
 
@@ -290,11 +342,13 @@ fn shared_simulator_answers_the_same_on_four_workers() {
     let fsim = FaultSimulator::new(&nl, &pats);
     let mut lists = single_faults(&nl);
     lists.extend(multi_site_lists(&nl));
+    let thirds = &every_third(&pats);
     let answer = |_: usize, faults: &Vec<Tdf>| {
         (
             fsim.simulate(faults),
             fsim.first_detecting_pattern(faults),
             fsim.detects(faults),
+            fsim.simulate_masked(faults, thirds),
         )
     };
     let serial = ExecPool::with_threads(1).map(&lists, answer);
@@ -303,6 +357,8 @@ fn shared_simulator_answers_the_same_on_four_workers() {
         assert_eq!(parallel, serial, "round {round}");
     }
     for (faults, got) in lists.iter().zip(&serial).step_by(5) {
-        assert_eq!(got.0, reference_simulate(&fsim, faults), "{faults:?}");
+        let want = reference_simulate(&fsim, faults);
+        assert_eq!(got.3, on_mask(&want, thirds), "{faults:?}");
+        assert_eq!(got.0, want, "{faults:?}");
     }
 }
