@@ -49,12 +49,12 @@ impl Default for BacktraceConfig {
     }
 }
 
-/// Transition activity as one node bitmap per simulated pattern slot:
-/// bit `n` of row `p` is set iff node `n`'s net switches between V1 and
-/// V2 under pattern `p` — the only nodes that can launch a delay fault
-/// that pattern detects. Rows span [`PatternSim::pattern_capacity`]
-/// slots, so the padding slots of the last pattern word screen exactly
-/// as [`PatternSim::net_transition`] does.
+/// Transition activity as one node bitmap per applied pattern: bit `n`
+/// of row `p` is set iff node `n`'s net switches between V1 and V2 under
+/// pattern `p` — the only nodes that can launch a delay fault that
+/// pattern detects. Rows span [`PatternSim::pattern_count`] slots: the
+/// padding lanes of the last pattern word were never applied, so a log
+/// entry naming one is out of range.
 #[derive(Debug, Clone)]
 pub struct PatternActivity {
     words: usize,
@@ -63,17 +63,23 @@ pub struct PatternActivity {
 }
 
 impl PatternActivity {
-    /// Marks every node of `hetero` under every pattern slot of `sim`.
+    /// Marks every node of `hetero` under every pattern of `sim`.
     pub fn build(hetero: &HeteroGraph, sim: &PatternSim) -> Self {
         let words = hetero.row_words();
-        let slots = sim.pattern_capacity();
+        let slots = sim.pattern_count();
         let mut rows = vec![0u64; slots * words];
         for w in 0..sim.word_count() {
+            let live = (slots - w * 64).min(64);
+            let lanes = if live == 64 {
+                u64::MAX
+            } else {
+                (1 << live) - 1
+            };
             for i in 0..hetero.node_count() {
                 let Some(net) = hetero.net_of(HNodeId(i as u32)) else {
                     continue;
                 };
-                let mut t = sim.transitions(w, net);
+                let mut t = sim.transitions(w, net) & lanes;
                 while t != 0 {
                     let p = w * 64 + t.trailing_zeros() as usize;
                     rows[p * words + i / 64] |= 1 << (i % 64);
@@ -84,13 +90,13 @@ impl PatternActivity {
         PatternActivity { words, slots, rows }
     }
 
-    /// Number of pattern slots (the simulator's pattern capacity).
+    /// Number of pattern slots (the number of patterns applied).
     pub fn slots(&self) -> usize {
         self.slots
     }
 
-    /// The active-node row of `pattern`, or `None` past the simulated
-    /// slots (a pattern number from a corrupt log).
+    /// The active-node row of `pattern`, or `None` past the applied
+    /// patterns (a pattern number from a corrupt log).
     pub fn row(&self, pattern: usize) -> Option<&[u64]> {
         (pattern < self.slots).then(|| &self.rows[pattern * self.words..(pattern + 1) * self.words])
     }
@@ -190,22 +196,33 @@ pub fn backtrace(
     }
     m3d_obs::counter!("backtrace.activity_checks", stats.activity_checks);
     report_dropped(stats.dropped_patterns, activity.slots());
+    // Only nodes at or above the support floor can be selected: hand
+    // `select` just those. It finds the same maximum, because the
+    // best-supported node clears the floor whenever any node does.
+    let max_support = support.iter().copied().max().unwrap_or(0);
+    let floor = support_floor(max_support, cfg.keep_frac);
     let supported = support
         .into_iter()
         .enumerate()
-        .filter(|&(_, c)| c > 0)
+        .filter(|&(_, c)| c >= floor)
         .map(|(i, c)| (HNodeId(i as u32), c));
     select(hetero, features, supported, cfg, stats)
 }
 
-fn report_dropped(dropped_patterns: u64, pattern_cap: usize) {
+fn report_dropped(dropped_patterns: u64, n_patterns: usize) {
     if dropped_patterns > 0 {
         m3d_obs::counter!("backtrace.dropped.pattern_out_of_range", dropped_patterns);
         m3d_obs::warn!(
             "backtrace: dropped {dropped_patterns} failure entries with pattern numbers \
-             beyond the {pattern_cap} simulated slots (corrupt log?)"
+             beyond the {n_patterns} applied patterns (corrupt log?)"
         );
     }
+}
+
+/// The least support a node needs to be selected: `keep_frac` of the best
+/// support, rounded up, and at least 1.
+fn support_floor(max_support: u32, keep_frac: f64) -> u32 {
+    (f64::from(max_support) * keep_frac).ceil().max(1.0) as u32
 }
 
 /// The selection tail shared by both back-traces: keep nodes within
@@ -225,7 +242,7 @@ fn select(
         sub.stats = stats;
         return sub;
     }
-    let floor = ((f64::from(max_support)) * cfg.keep_frac).ceil().max(1.0) as u32;
+    let floor = support_floor(max_support, cfg.keep_frac);
     let mut picked: Vec<(HNodeId, u32)> =
         supported.into_iter().filter(|&(_, c)| c >= floor).collect();
     // Cap deterministically: strongest support first, then node order.
@@ -285,7 +302,7 @@ pub fn reference_backtrace(
     let mut stats = BacktraceStats::default();
     for entry in log.entries() {
         let pattern = entry.pattern as usize;
-        if pattern >= sim.pattern_capacity() {
+        if pattern >= sim.pattern_count() {
             stats.dropped_patterns += 1;
             continue;
         }
@@ -304,7 +321,7 @@ pub fn reference_backtrace(
             *support.entry(node).or_insert(0) += 1;
         }
     }
-    report_dropped(stats.dropped_patterns, sim.pattern_capacity());
+    report_dropped(stats.dropped_patterns, sim.pattern_count());
     select(hetero, features, support.into_iter(), cfg, stats)
 }
 
@@ -590,7 +607,10 @@ mod tests {
         let fx = fixture();
         let t = Tracer::new(&fx.m3d, &fx.patterns);
         let slots = t.activity.slots() as u32;
-        assert_eq!(slots as usize, t.fsim.sim().pattern_capacity());
+        assert_eq!(slots as usize, fx.patterns.len());
+        // The last lane of the last pattern word: padding, never applied.
+        let padding = fx.patterns.word_count() as u32 * 64 - 1;
+        assert!(padding >= slots, "the fixture needs padding lanes");
         let log: FailureLog = [
             FailEntry {
                 pattern: u32::MAX,
@@ -599,6 +619,10 @@ mod tests {
             FailEntry {
                 pattern: slots,
                 obs: FailObs::Direct(ObsId(1)),
+            },
+            FailEntry {
+                pattern: padding,
+                obs: FailObs::Direct(ObsId(2)),
             },
             FailEntry {
                 pattern: 0,
@@ -612,9 +636,55 @@ mod tests {
         .into_iter()
         .collect();
         let sub = t.run(None, &log, &BacktraceConfig::default());
-        assert_eq!(sub.stats.dropped_patterns, 2);
+        assert_eq!(sub.stats.dropped_patterns, 3);
         assert_eq!(sub.stats.activity_checks, t.hetero.cone_size(ObsId(0)));
         assert_identical(&sub, &t.reference(None, &log, &BacktraceConfig::default()));
+    }
+
+    /// Caps below the picked set: the descending-support, ascending-id
+    /// order and the truncation decide which nodes survive, on bypass and
+    /// compacted logs, single- and multi-fault.
+    #[test]
+    fn capped_selection_matches_reference() {
+        let fx = fixture();
+        let t = Tracer::new(&fx.m3d, &fx.patterns);
+        let chains = ScanChains::stitch(fx.m3d.netlist(), 8, 4);
+        let faults = detected(&t.fsim, 6);
+        let mut lists: Vec<Vec<Tdf>> = faults.iter().take(4).map(|&f| vec![f]).collect();
+        lists.push(faults[3..6].to_vec());
+        let mut capped = 0;
+        for list in &lists {
+            let det = t.fsim.simulate(list);
+            let cases = [
+                (FailureLog::uncompacted(&det), None),
+                (
+                    FailureLog::compacted(&det, t.fsim.obs(), &chains),
+                    Some(&chains),
+                ),
+            ];
+            for (log, ch) in &cases {
+                for keep_frac in [0.25, 1.0] {
+                    let all = t.reference(
+                        *ch,
+                        log,
+                        &BacktraceConfig {
+                            keep_frac,
+                            max_nodes: 100_000,
+                        },
+                    );
+                    for max_nodes in [5, 10] {
+                        let cfg = BacktraceConfig {
+                            keep_frac,
+                            max_nodes,
+                        };
+                        let want = t.reference(*ch, log, &cfg);
+                        assert_identical(&t.run(*ch, log, &cfg), &want);
+                        capped += usize::from(all.len() > max_nodes);
+                    }
+                }
+            }
+        }
+        assert!(capped >= 20, "only {capped} of 40 cases hit the cap");
     }
 
     /// Paper-class cones: a 100k-gate design whose few observers each see

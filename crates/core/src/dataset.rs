@@ -210,9 +210,11 @@ impl<'a> DesignContext<'a> {
     }
 
     /// Validates a failure log against this design: every entry must
-    /// reference an in-range pattern and resolve to at least one
-    /// observation point (a real [`ObsId`](m3d_sim::ObsId) in bypass mode,
-    /// a populated channel/position in compacted mode).
+    /// reference an applied pattern (below
+    /// [`PatternSet::len`](m3d_sim::PatternSet::len), so no padding lane of
+    /// the last pattern word) and resolve to at least one observation point
+    /// (a real [`ObsId`](m3d_sim::ObsId) in bypass mode, a populated
+    /// channel/position in compacted mode).
     ///
     /// The pipeline itself never needs this — every stage now skips
     /// corrupt entries with counters — but callers ingesting third-party
@@ -223,13 +225,13 @@ impl<'a> DesignContext<'a> {
     /// [`crate::Error::CorruptFailureLog`] carrying the number of entries
     /// that failed validation.
     pub fn validate_log(&self, log: &FailureLog, compacted: bool) -> Result<(), crate::Error> {
-        let pattern_cap = self.fsim.sim().pattern_capacity();
+        let n_patterns = self.fsim.sim().pattern_count();
         let obs = self.fsim.obs();
         let corrupt = log
             .entries()
             .iter()
             .filter(|e| {
-                if e.pattern as usize >= pattern_cap {
+                if e.pattern as usize >= n_patterns {
                     return true;
                 }
                 match e.obs {
@@ -544,6 +546,12 @@ mod tests {
             pattern: u32::MAX - 1,
             obs: FailObs::Direct(ObsId(0)),
         });
+        // A padding lane of the last pattern word: simulated, never applied.
+        assert_ne!(tb.patterns.len() % 64, 0, "the bench needs padding lanes");
+        entries.push(FailEntry {
+            pattern: tb.patterns.len() as u32,
+            obs: FailObs::Direct(ObsId(0)),
+        });
         entries.push(FailEntry {
             pattern: 0,
             obs: FailObs::Direct(ObsId(9_999_999)),
@@ -558,7 +566,7 @@ mod tests {
         let corrupt = FailureLog::new(entries);
         assert_eq!(
             ctx.validate_log(&corrupt, false),
-            Err(crate::Error::CorruptFailureLog { entries: 3 })
+            Err(crate::Error::CorruptFailureLog { entries: 4 })
         );
     }
 

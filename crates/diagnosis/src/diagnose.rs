@@ -16,7 +16,7 @@
 //!    class), then strong partial matches, capped at a report limit.
 
 use crate::report::{Candidate, DiagnosisReport};
-use m3d_netlist::{topo, NetId, PinRef, ScanChains};
+use m3d_netlist::{NetId, PinRef, ScanChains};
 use m3d_sim::{Detection, FailureLog, FaultSimulator, Polarity, Tdf};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -76,10 +76,11 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     /// Produces a ranked diagnosis report for `log`.
     ///
     /// Multiple-defect logs are handled the way commercial tools do it:
-    /// diagnose, subtract the failures the best candidate explains, and
-    /// re-diagnose the residual log, so every defect's sensitized path
-    /// appears in the report (bounded recursion; single-fault logs never
-    /// recurse because their head candidate explains everything).
+    /// diagnose, subtract the failures the best candidate explains (its
+    /// full simulation, kept from scoring), and re-diagnose the residual
+    /// log, so every defect's sensitized path appears in the report
+    /// (bounded recursion; single-fault logs never recurse because their
+    /// head candidate explains everything).
     ///
     /// Adds the candidates scored and those fault-simulated in full, over
     /// every residual pass, to the `diagnosis.candidates` and
@@ -104,13 +105,12 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
         }
         let nets = self.structural_candidates(log);
         let faults = self.expand_to_faults(&nets);
-        let mut report = self.score_and_rank(log, faults, work);
+        let (mut report, head_log) = self.score_and_rank(log, faults, work);
 
         // Residual pass: if the head candidate leaves a meaningful share of
         // the failures unexplained, another defect is present.
         if depth < 4 {
-            if let Some(head) = report.candidates().first().copied() {
-                let explained = self.simulate_log(&[head.fault]);
+            if let Some(explained) = head_log {
                 let mut residual = Vec::new();
                 merge_count(log.entries(), explained.entries(), |e| residual.push(e));
                 let sizable = residual.len() >= 2
@@ -141,31 +141,34 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     /// result is the nets every entry suspects, or failing that the nets
     /// at least `coverage_floor` of the entries suspect, in ascending
     /// [`NetId`] order. Each distinct observer's cone is walked once per
-    /// call.
+    /// call, over the simulator's flattened netlist.
     ///
-    /// Corrupt log entries (out-of-range pattern numbers or observation
-    /// points — tester logs are untrusted input) contribute no suspects:
+    /// Corrupt log entries (pattern numbers at or past
+    /// [`PatternSet::len`](m3d_sim::PatternSet::len), the padding lanes of
+    /// the last pattern word included, or out-of-range observation points
+    /// — tester logs are untrusted input) contribute no suspects:
     /// they are skipped with a `diagnosis.dropped.*` counter and a warning
     /// instead of panicking, and do not count toward the intersection
     /// support either.
     pub fn structural_candidates(&self, log: &FailureLog) -> Vec<NetId> {
         let nl = self.fsim.netlist();
         let sim = self.fsim.sim();
-        let pattern_cap = sim.pattern_capacity();
+        let n_patterns = sim.pattern_count();
         // Per observer: the nets driven inside its fan-in cone, walked on
         // first use.
         let mut cones: Vec<Option<Vec<NetId>>> = vec![None; self.fsim.obs().len()];
+        let mut walker = self.fsim.fanin_cones();
         // Per net: how many entries suspect it, and the 1-based number of
         // the last entry that counted it.
         let mut counts = vec![0u32; nl.net_count()];
         let mut mark = vec![0u32; nl.net_count()];
         let mut used = 0u32;
         for entry in log.entries() {
-            if entry.pattern as usize >= pattern_cap {
+            if entry.pattern as usize >= n_patterns {
                 m3d_obs::counter!("diagnosis.dropped.pattern_out_of_range", 1);
                 m3d_obs::warn!(
-                    "diagnosis: dropping failure entry with pattern {} (only {pattern_cap} \
-                     pattern slots simulated; corrupt log?)",
+                    "diagnosis: dropping failure entry with pattern {} (only {n_patterns} \
+                     patterns applied; corrupt log?)",
                     entry.pattern
                 );
                 continue;
@@ -181,13 +184,8 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
             let (w, bit) = (entry.pattern as usize / 64, entry.pattern % 64);
             let (v1, v2) = (sim.v1_row(w), sim.v2_row(w));
             for obs_id in observers {
-                let cone = cones[obs_id.index()].get_or_insert_with(|| {
-                    let watched = self.fsim.obs().point(obs_id).net;
-                    topo::net_fanin_cone(nl, watched)
-                        .into_iter()
-                        .filter_map(|(g, _)| nl.gate(g).output)
-                        .collect()
-                });
+                let cone = cones[obs_id.index()]
+                    .get_or_insert_with(|| walker.nets(self.fsim.obs().point(obs_id).net));
                 for &net in cone.iter() {
                     let n = net.index();
                     if mark[n] != used && ((v1[n] ^ v2[n]) >> bit) & 1 == 1 {
@@ -240,13 +238,15 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
     /// predicted failure on those patterns and its overlap with the tester
     /// log is the final TFSF. Only a candidate that could then be kept — an
     /// exact match (TFSF equals the log's length) or a partial match over
-    /// the floor — is simulated in full for its TPSF.
+    /// the floor — is simulated in full for its TPSF. Returns the report
+    /// and, when it is not empty, the full simulated log of its head
+    /// candidate, which the residual pass subtracts.
     fn score_and_rank(
         &self,
         log: &FailureLog,
         faults: Vec<Tdf>,
         work: &mut ScoreWork,
-    ) -> DiagnosisReport {
+    ) -> (DiagnosisReport, Option<FailureLog>) {
         let nl = self.fsim.netlist();
         let observed = log.entries();
         let n_obs = observed.len() as f64;
@@ -258,6 +258,7 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
         }
         work.candidates += faults.len() as u64;
         let mut scored: Vec<Candidate> = Vec::new();
+        let mut head: Option<(Candidate, FailureLog)> = None;
         for fault in faults {
             // Candidates from `expand_to_faults` always resolve, but
             // `simulate_log` is public and external fault lists may carry
@@ -274,18 +275,28 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
                 continue;
             }
             work.simulated += 1;
-            let predicted = self.simulate_log(&[fault]).len();
+            let predicted = self.simulate_log(&[fault]);
             let cand = Candidate {
                 fault,
                 tfsf: tfsf as u32,
                 tfsp: (observed.len() - tfsf) as u32,
-                tpsf: (predicted - tfsf) as u32,
+                tpsf: (predicted.len() - tfsf) as u32,
             };
             if cand.is_exact() || partial {
+                if head
+                    .as_ref()
+                    .is_none_or(|(h, _)| rank_order(&cand, h).is_lt())
+                {
+                    head = Some((cand, predicted));
+                }
                 scored.push(cand);
             }
         }
-        rank(scored, self.cfg.max_candidates)
+        let report = rank(scored, self.cfg.max_candidates);
+        let head_log = head
+            .filter(|(h, _)| report.candidates().first() == Some(h))
+            .map(|(_, log)| log);
+        (report, head_log)
     }
 
     /// Simulates a fault list into a failure log in the same observation
@@ -323,14 +334,18 @@ struct ScoreWork {
 /// class, not a fine-grained match order. Ties break by site order (the
 /// deterministic listing order of a path-tracing tool).
 fn rank(mut scored: Vec<Candidate>, max_candidates: usize) -> DiagnosisReport {
-    scored.sort_by(|a, b| {
-        b.tfsf
-            .cmp(&a.tfsf)
-            .then_with(|| a.tfsp.cmp(&b.tfsp))
-            .then_with(|| a.fault.cmp(&b.fault))
-    });
+    scored.sort_by(rank_order);
     scored.truncate(max_candidates);
     DiagnosisReport::new(scored)
+}
+
+/// The report order of [`rank`]: more explained failures first, then fewer
+/// unexplained ones, then site order.
+fn rank_order(a: &Candidate, b: &Candidate) -> Ordering {
+    b.tfsf
+        .cmp(&a.tfsf)
+        .then_with(|| a.tfsp.cmp(&b.tfsp))
+        .then_with(|| a.fault.cmp(&b.fault))
 }
 
 /// The nets whose count passes `keep`, in ascending [`NetId`] order.
@@ -366,7 +381,7 @@ fn merge_count<T: Ord + Copy>(a: &[T], b: &[T], mut only_a: impl FnMut(T)) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_netlist::{generate, GeneratorConfig, Netlist};
+    use m3d_netlist::{generate, topo, GeneratorConfig, Netlist};
     use m3d_sim::{generate_patterns, tdf_list, AtpgConfig, FailEntry, ObsId, PatternSet};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -497,11 +512,18 @@ mod tests {
         let clean = diag.simulate_log(&[f]);
         let clean_report = diag.diagnose(&clean);
         // Corruption on top of a healthy log: a pattern beyond the
-        // simulated range, an out-of-range observation id, and a channel
-        // entry reaching a bypass-mode (chain-less) diagnosis.
+        // simulated range, a pattern in the last word's padding lanes (never
+        // applied, yet its nets transition), an out-of-range observation
+        // id, and a channel entry reaching a bypass-mode (chain-less)
+        // diagnosis.
+        assert_ne!(fx.pats.len() % 64, 0, "the fixture needs padding lanes");
         let mut entries = clean.entries().to_vec();
         entries.push(FailEntry {
             pattern: u32::MAX - 1,
+            obs: entries[0].obs,
+        });
+        entries.push(FailEntry {
+            pattern: fx.pats.len() as u32,
             obs: entries[0].obs,
         });
         entries.push(FailEntry {
@@ -519,6 +541,11 @@ mod tests {
         let report = diag.diagnose(&corrupt);
         // The phantom entries contribute nothing; the healthy entries
         // still localize the injected fault.
+        assert_eq!(
+            diag.structural_candidates(&corrupt),
+            diag.structural_candidates(&clean),
+            "corrupt entries must not change the suspects"
+        );
         assert!(report.hits_any(&[f.site]));
         assert_eq!(
             report.candidates()[0].fault,
@@ -565,7 +592,7 @@ mod tests {
         let mut counts: BTreeMap<NetId, u32> = BTreeMap::new();
         let mut used = 0u32;
         for entry in log.entries() {
-            if entry.pattern as usize >= sim.pattern_capacity() {
+            if entry.pattern as usize >= diag.fsim.patterns().len() {
                 continue;
             }
             let observers = FailureLog::candidate_observers(entry, diag.fsim.obs(), diag.chains);
@@ -622,10 +649,15 @@ mod tests {
                 let faults = detectable_faults(&fsim, 2 + k % 3, 37 + 13 * k);
                 logs.push(diag.simulate_log(&faults));
             }
-            // A healthy log with corrupt entries riding along.
+            // A healthy log with corrupt entries riding along, one of them
+            // in the last pattern word's padding lanes.
             let mut entries = logs[0].entries().to_vec();
             entries.push(FailEntry {
                 pattern: u32::MAX - 1,
+                obs: entries[0].obs,
+            });
+            entries.push(FailEntry {
+                pattern: fx.pats.len() as u32,
                 obs: entries[0].obs,
             });
             entries.push(FailEntry {
@@ -708,6 +740,10 @@ mod tests {
                     obs: entries[0].obs,
                 });
                 entries.push(FailEntry {
+                    pattern: fx.pats.len() as u32,
+                    obs: entries[0].obs,
+                });
+                entries.push(FailEntry {
                     pattern: 0,
                     obs: m3d_sim::FailObs::Direct(ObsId(9_999_999)),
                 });
@@ -722,11 +758,19 @@ mod tests {
                     let faults = diag.expand_to_faults(&suspects);
                     let (_, floor) = reference_structural_candidates(&diag, log);
                     floor_cases += usize::from(floor && !suspects.is_empty());
-                    let report = diag.score_and_rank(log, faults.clone(), &mut work);
+                    let (report, head_log) = diag.score_and_rank(log, faults.clone(), &mut work);
                     assert_eq!(
                         report,
                         reference_score_and_rank(&diag, log, &faults),
                         "{what}, log {i}"
+                    );
+                    assert_eq!(
+                        head_log,
+                        report
+                            .candidates()
+                            .first()
+                            .map(|h| diag.simulate_log(&[h.fault])),
+                        "{what}, log {i}: head log"
                     );
                     if i < singles.len() {
                         // The injected fault reproduces its own log, so an
@@ -745,6 +789,76 @@ mod tests {
             }
         }
         assert!(floor_cases > 0, "no log exercised the coverage floor");
+    }
+
+    /// `diagnose` as first written: the reference phases, and a fresh full
+    /// simulation of the head candidate for the residual pass. Counts the
+    /// residual passes it takes in `residuals`.
+    fn reference_diagnose(
+        diag: &AtpgDiagnosis<'_, '_>,
+        log: &FailureLog,
+        depth: usize,
+        residuals: &mut usize,
+    ) -> DiagnosisReport {
+        if log.is_empty() {
+            return DiagnosisReport::default();
+        }
+        let (nets, _) = reference_structural_candidates(diag, log);
+        let faults = diag.expand_to_faults(&nets);
+        let mut report = reference_score_and_rank(diag, log, &faults);
+        if depth < 4 {
+            if let Some(head) = report.candidates().first().copied() {
+                let explained = diag.simulate_log(&[head.fault]);
+                let residual: Vec<FailEntry> = log
+                    .entries()
+                    .iter()
+                    .filter(|e| !explained.entries().contains(e))
+                    .copied()
+                    .collect();
+                let sizable = residual.len() >= 2
+                    && residual.len() < log.len()
+                    && (residual.len() as f64) >= 0.15 * log.len() as f64;
+                if sizable {
+                    *residuals += 1;
+                    let sub =
+                        reference_diagnose(diag, &FailureLog::new(residual), depth + 1, residuals);
+                    let mut seen: BTreeSet<Tdf> =
+                        report.candidates().iter().map(|c| c.fault).collect();
+                    for c in sub.candidates() {
+                        if seen.insert(c.fault) {
+                            report.candidates_mut().push(*c);
+                        }
+                    }
+                    report
+                        .candidates_mut()
+                        .truncate(diag.cfg.max_candidates * (depth + 2));
+                }
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn diagnose_matches_reference_through_residual_passes() {
+        let fx = fixture();
+        let chains = ScanChains::stitch(&fx.nl, 8, 4);
+        let fsim = FaultSimulator::new(&fx.nl, &fx.pats);
+        let mut residuals = 0;
+        for chains in [None, Some(&chains)] {
+            let diag = AtpgDiagnosis::new(&fsim, chains, DiagnosisConfig::default());
+            for k in 0..8 {
+                let faults = detectable_faults(&fsim, 2 + k % 3, 29 + 11 * k);
+                let log = diag.simulate_log(&faults);
+                assert_eq!(
+                    diag.diagnose(&log),
+                    reference_diagnose(&diag, &log, 0, &mut residuals),
+                    "{} faults, compacted {}",
+                    faults.len(),
+                    chains.is_some()
+                );
+            }
+        }
+        assert!(residuals > 0, "no log took the residual branch");
     }
 
     fn sorted_set() -> impl Strategy<Value = Vec<u16>> {

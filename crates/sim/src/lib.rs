@@ -48,7 +48,7 @@ mod sim;
 pub use atpg::{generate_patterns, generate_patterns_with_pool, AtpgConfig, AtpgResult};
 pub use failure::{FailEntry, FailObs, FailureLog};
 pub use fault::{tdf_list, Polarity, Tdf};
-pub use fsim::{Detection, FaultSimulator};
+pub use fsim::{Detection, FaninCones, FaultSimulator};
 pub use logfmt::{parse_failure_log, write_failure_log, ParseLogError};
 pub use obs::{is_observing_kind, ObsId, ObsKind, ObsPoint, ObsPoints};
 pub use patterns::PatternSet;

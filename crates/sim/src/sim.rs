@@ -8,13 +8,14 @@
 //! "memorized transitions" of the paper's Table I feature `T_pat`.
 
 use crate::patterns::PatternSet;
-use m3d_netlist::{topo, CellKind, NetId, Netlist};
+use m3d_netlist::{topo, CellKind, GateId, NetId, Netlist};
 
 /// Fault-free V1/V2 net values for a pattern set.
 #[derive(Debug, Clone)]
 pub struct PatternSim {
     n_nets: usize,
     n_words: usize,
+    n_patterns: usize,
     /// `v1[w][net]`, `v2[w][net]`: packed values of every net.
     v1: Vec<Vec<u64>>,
     v2: Vec<Vec<u64>>,
@@ -32,12 +33,16 @@ impl PatternSim {
     /// Panics if `pats.source_count() != source_count_for(nl)` or if the
     /// netlist has a combinational cycle.
     pub fn run(nl: &Netlist, pats: &PatternSet) -> Self {
+        PatternSim::run_in_order(nl, pats, &topo::topological_order(nl))
+    }
+
+    /// [`PatternSim::run`] with the topological order of `nl` given.
+    pub(crate) fn run_in_order(nl: &Netlist, pats: &PatternSet, order: &[GateId]) -> Self {
         assert_eq!(
             pats.source_count(),
             source_count_for(nl),
             "pattern source count must equal PIs + flops"
         );
-        let order = topo::topological_order(nl);
         assert_eq!(order.len(), nl.gate_count(), "cyclic netlist");
         let n_nets = nl.net_count();
         let n_words = pats.word_count();
@@ -56,7 +61,7 @@ impl PatternSim {
                 let net = nl.gate(ff).output.expect("flop drives Q");
                 v1[w][net.index()] = pats.word(n_pi + k, w);
             }
-            eval_pass(nl, &order, &mut v1[w], &mut in_words);
+            eval_pass(nl, order, &mut v1[w], &mut in_words);
 
             // --- V2: launch clock. PIs held; flops capture f(V1).
             for (s, &pi) in nl.inputs().iter().enumerate() {
@@ -71,12 +76,13 @@ impl PatternSim {
             // Temporary move to satisfy the borrow checker: evaluate into a
             // scratch row then store.
             let mut row = std::mem::take(&mut v2[w]);
-            eval_pass(nl, &order, &mut row, &mut in_words);
+            eval_pass(nl, order, &mut row, &mut in_words);
             v2[w] = row;
         }
         PatternSim {
             n_nets,
             n_words,
+            n_patterns: pats.len(),
             v1,
             v2,
         }
@@ -130,13 +136,13 @@ impl PatternSim {
         (self.transitions(p / 64, net) >> (p % 64)) & 1 == 1
     }
 
-    /// Exclusive upper bound on the pattern indices
-    /// [`PatternSim::net_transition`] can be asked about (the packed word
-    /// count times 64). Pattern numbers read from an untrusted tester log
-    /// must be screened against this before querying transitions.
+    /// Number of patterns simulated ([`PatternSet::len`]). Pattern numbers
+    /// read from an untrusted tester log must be screened against this:
+    /// the padding lanes of the last word were never applied, yet their
+    /// nets transition (sources are 0 there, flops capture f(V1)).
     #[inline]
-    pub fn pattern_capacity(&self) -> usize {
-        self.n_words * 64
+    pub fn pattern_count(&self) -> usize {
+        self.n_patterns
     }
 
     /// Number of patterns (out of `pats.len()`) under which each net
@@ -160,12 +166,7 @@ pub fn source_count_for(nl: &Netlist) -> usize {
 
 /// Evaluates all combinational gates over one packed word, in-place on a
 /// per-net value row whose source nets are already assigned.
-fn eval_pass(
-    nl: &Netlist,
-    order: &[m3d_netlist::GateId],
-    row: &mut [u64],
-    in_words: &mut Vec<u64>,
-) {
+fn eval_pass(nl: &Netlist, order: &[GateId], row: &mut [u64], in_words: &mut Vec<u64>) {
     for &g in order {
         let gate = nl.gate(g);
         match gate.kind {

@@ -6,7 +6,8 @@
 //! quick evaluation design, bypass and compacted, with the cone store
 //! built at 1 and 4 threads. The features the store feeds must equal the
 //! f64 fold of the reference cones bit for bit, and corrupt logs must be
-//! screened with the same drop counters.
+//! screened with the same drop counters — patterns in the last word's
+//! padding lanes included.
 
 use std::sync::OnceLock;
 
@@ -204,12 +205,20 @@ proptest! {
         let bench = shared_bench();
         let ctx = DesignContext::new(bench);
         let slots = ctx.activity.slots() as u32;
+        assert_eq!(slots as usize, bench.patterns.len());
+        // The last pattern word's padding lanes: simulated, never applied.
+        let padding = bench.patterns.word_count() as u32 * 64 - slots;
+        assert!(padding > 0, "the bench needs padding lanes");
         let n_obs = ctx.fsim.obs().len() as u32;
         let channels = ctx.chains().channel_count() as u32;
         let entries: Vec<FailEntry> = raw
             .iter()
             .map(|&(kind, p, a, b)| FailEntry {
-                pattern: if p % 5 == 0 { slots + p } else { p % slots },
+                pattern: match p % 5 {
+                    0 => slots + p,
+                    1 => slots + p % padding,
+                    _ => p % slots,
+                },
                 obs: match kind {
                     0 => FailObs::Direct(ObsId(a % n_obs)),
                     1 => FailObs::Direct(ObsId(n_obs + a)),
@@ -237,5 +246,7 @@ proptest! {
         let (got, got_drops) = drop_deltas(|| ctx.backtrace(&log, compacted, &cfg));
         assert_identical(&got, &want, "random log");
         prop_assert_eq!(got_drops, want_drops);
+        let past_end = log.entries().iter().filter(|e| e.pattern >= slots).count();
+        prop_assert_eq!(got.stats.dropped_patterns, past_end as u64);
     }
 }

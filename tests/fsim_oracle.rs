@@ -6,9 +6,12 @@
 //! `first_detecting_pattern` and `detects` must agree with it on
 //! generated netlists with test points, for single faults at every pin
 //! kind and for multi-site lists, at pattern counts that are not a
-//! multiple of 64 — and a simulator shared by four workers must answer
-//! exactly as it does serially. `simulate_masked` must return the
-//! reference's detections on the masked patterns and no others.
+//! multiple of 64, on a netlist at least 40 levels deep, and with the
+//! three entry points alternating on one simulator — and a simulator
+//! shared by four workers must answer exactly as it does serially.
+//! `simulate_masked` must return the reference's detections on the masked
+//! patterns and no others. The simulator's fan-in cone walk must return
+//! the output nets of `topo::net_fanin_cone`'s gates for every observer.
 
 use std::collections::{HashMap, HashSet};
 
@@ -126,13 +129,18 @@ fn reference_simulate(fsim: &FaultSimulator<'_>, faults: &[Tdf]) -> Vec<Detectio
 
 /// A generated netlist with observation test points.
 fn netlist(seed: u64, gates: usize, flops: usize) -> Netlist {
+    deep_netlist(seed, gates, flops, 8)
+}
+
+/// [`netlist`] at a target logic depth.
+fn deep_netlist(seed: u64, gates: usize, flops: usize, depth: u32) -> Netlist {
     let mut nl = generate(&GeneratorConfig {
         seed,
         n_comb_gates: gates,
         n_flops: flops,
         n_inputs: 14,
         n_outputs: 8,
-        target_depth: 8,
+        target_depth: depth,
         ..GeneratorConfig::default()
     });
     insert_observation_points(&mut nl, &TestPointConfig { max_fraction: 0.02 });
@@ -361,4 +369,83 @@ fn shared_simulator_answers_the_same_on_four_workers() {
         assert_eq!(got.3, on_mask(&want, thirds), "{faults:?}");
         assert_eq!(got.0, want, "{faults:?}");
     }
+}
+
+/// Deep logic: the faulty waves cross many level buckets per word.
+#[test]
+fn deep_netlist_matches_reference() {
+    let nl = deep_netlist(13, 1600, 40, 300);
+    let depth = topo::comb_depth(&nl);
+    assert!(depth >= 40, "depth {depth}");
+    let pats = PatternSet::random(source_count_for(&nl), 100, 14);
+    let fsim = FaultSimulator::new(&nl, &pats);
+    let what = format!("depth {depth}");
+    let singles = single_faults(&nl);
+    let hit = check_against_reference(&fsim, &singles, &what);
+    assert!(hit * 4 > singles.len(), "{what}: {hit}/{}", singles.len());
+    check_against_reference(&fsim, &multi_site_lists(&nl), &what);
+}
+
+/// One single-worker simulator, its three entry points taking turns: a
+/// call that stopped early must leave nothing behind for the next one.
+#[test]
+fn entry_points_alternating_on_one_scratch_match_reference() {
+    let nl = netlist(17, 360, 32);
+    let pats = PatternSet::random(source_count_for(&nl), 150, 18);
+    let fsim = FaultSimulator::new(&nl, &pats);
+    let mut lists = single_faults(&nl);
+    lists.extend(multi_site_lists(&nl));
+    for (i, faults) in lists.iter().enumerate() {
+        let want = reference_simulate(&fsim, faults);
+        for turn in 0..3 {
+            match (i + turn) % 3 {
+                0 => assert_eq!(fsim.detects(faults), !want.is_empty(), "{faults:?}"),
+                1 => assert_eq!(
+                    fsim.first_detecting_pattern(faults),
+                    want.first().map(|d| d.pattern),
+                    "{faults:?}"
+                ),
+                _ => assert_eq!(fsim.simulate(faults), want, "{faults:?}"),
+            }
+        }
+    }
+}
+
+/// The output nets of `topo::net_fanin_cone`'s gates, sorted.
+fn reference_cone_nets(nl: &Netlist, net: NetId) -> Vec<NetId> {
+    let mut nets: Vec<NetId> = topo::net_fanin_cone(nl, net)
+        .into_iter()
+        .filter_map(|(g, _)| nl.gate(g).output)
+        .collect();
+    nets.sort_unstable();
+    nets
+}
+
+fn check_cones(nl: &Netlist, pats: &PatternSet) {
+    let fsim = FaultSimulator::new(nl, pats);
+    let mut cones = fsim.fanin_cones();
+    for (id, p) in fsim.obs().iter() {
+        let mut got = cones.nets(p.net);
+        got.sort_unstable();
+        assert_eq!(got, reference_cone_nets(nl, p.net), "{id}");
+    }
+}
+
+#[test]
+fn fanin_cone_walk_matches_topo_on_every_observer() {
+    for (seed, gates, flops, depth) in [(3, 320, 36, 8), (8, 480, 48, 8), (13, 1600, 40, 300)] {
+        let nl = deep_netlist(seed, gates, flops, depth);
+        let pats = PatternSet::random(source_count_for(&nl), 64, seed);
+        check_cones(&nl, &pats);
+    }
+    let nl = generate(&GeneratorConfig {
+        n_comb_gates: 100_000,
+        n_flops: 24,
+        n_inputs: 32,
+        n_outputs: 8,
+        target_depth: 20,
+        ..GeneratorConfig::default()
+    });
+    assert!(nl.gate_count() >= 100_000, "{}", nl.gate_count());
+    check_cones(&nl, &PatternSet::random(source_count_for(&nl), 64, 11));
 }
