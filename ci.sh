@@ -58,8 +58,9 @@ echo "== cargo test -q (m3d-obs with alloc-profile) =="
 cargo test -q -p m3d-obs --features alloc-profile
 
 echo "== steady-state zero-allocation gate (m3d-gnn alloc-profile) =="
-# After one warmup pass, training epochs must allocate nothing inside
-# exec.worker spans: the vectorized write-into kernels recycle every buffer.
+# After one warmup call, a gnn.train call may allocate only its per-call
+# bookkeeping, never anything per gradient step: an 8-epoch call must
+# allocate exactly 6 x 8 B (loss-curve slots) more than a 2-epoch call.
 cargo test -q -p m3d-gnn --features alloc-profile --test alloc_steady_state
 
 echo "== microbench smoke (M3D_BENCH_SMOKE=1, one sample per bench) =="

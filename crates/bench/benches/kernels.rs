@@ -1,7 +1,7 @@
-//! Criterion benches for the hot kernels behind the paper's complexity
-//! claims: heterogeneous-graph construction (O(|V|+|E|) per Topnode set,
-//! Section III-A), back-tracing (O(n_r · n_G), Section III-B),
-//! cone-limited fault simulation, and GCN training/inference.
+//! Criterion benches for heterogeneous-graph construction (O(|V|+|E|) per
+//! Topnode set, Section III-A) and GCN training/inference. Back-tracing
+//! and fault simulation have their own benches in `crates/core/benches`
+//! and `crates/sim/benches`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use m3d_fault_loc::{
@@ -9,7 +9,6 @@ use m3d_fault_loc::{
     ModelTrainConfig, TestBench, TestBenchConfig, TierPredictor,
 };
 use m3d_netlist::BenchmarkProfile;
-use m3d_sim::tdf_list;
 
 fn bench_hetero_graph(c: &mut Criterion) {
     let mut group = c.benchmark_group("hetero_graph_build");
@@ -28,45 +27,6 @@ fn bench_hetero_graph(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn bench_backtrace(c: &mut Criterion) {
-    let tb = TestBench::build(&TestBenchConfig::quick(
-        BenchmarkProfile::AesLike,
-        DesignConfig::Syn1,
-    ));
-    let ctx = DesignContext::new(&tb);
-    let samples = generate_samples(&ctx, &DatasetConfig::single(8, 5));
-    let mut group = c.benchmark_group("backtrace");
-    group.sample_size(20);
-    group.bench_function("per_failure_log", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let s = &samples[i % samples.len()];
-            i += 1;
-            ctx.backtrace(&s.log, false, &Default::default()).len()
-        })
-    });
-    group.finish();
-}
-
-fn bench_fault_sim(c: &mut Criterion) {
-    let tb = TestBench::build(&TestBenchConfig::quick(
-        BenchmarkProfile::AesLike,
-        DesignConfig::Syn1,
-    ));
-    let fsim = m3d_sim::FaultSimulator::new(tb.netlist(), &tb.patterns);
-    let faults = tdf_list(tb.netlist());
-    let mut group = c.benchmark_group("fault_sim");
-    group.bench_function("cone_limited_single_fault", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let f = faults[(i * 37) % faults.len()];
-            i += 1;
-            fsim.simulate(std::slice::from_ref(&f)).len()
-        })
-    });
     group.finish();
 }
 
@@ -111,11 +71,5 @@ fn bench_gnn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    kernels,
-    bench_hetero_graph,
-    bench_backtrace,
-    bench_fault_sim,
-    bench_gnn
-);
+criterion_group!(kernels, bench_hetero_graph, bench_gnn);
 criterion_main!(kernels);

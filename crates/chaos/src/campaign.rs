@@ -7,7 +7,7 @@ use crate::scenario::{Expectation, Scenario};
 use m3d_diagnosis::AtpgDiagnosis;
 use m3d_exec::ExecPool;
 use m3d_fault_loc::{
-    apply_policy, BacktraceConfig, DesignContext, DiagnosisAudit, Framework, PolicyAction,
+    apply_policy, BacktraceConfig, DesignContext, DiagnosisAudit, Fnv1a, Framework, PolicyAction,
     PolicyConfig, Sample,
 };
 use rand::rngs::StdRng;
@@ -69,14 +69,14 @@ impl ScenarioOutcome {
             }
     }
 
-    fn fold_into(&self, h: &mut u64) {
-        fnv1a(h, self.label.as_bytes());
-        fnv1a(h, &[u8::from(self.degraded), u8::from(self.action_pruned)]);
-        fnv1a(h, self.degrade_reason.as_deref().unwrap_or("-").as_bytes());
-        fnv1a(h, &(self.resolution as u64).to_le_bytes());
-        fnv1a(h, &(self.pruned as u64).to_le_bytes());
-        fnv1a(h, &[self.predicted_tier]);
-        fnv1a(h, &self.confidence_bits.to_le_bytes());
+    fn fold_into(&self, h: &mut Fnv1a) {
+        h.write(self.label.as_bytes());
+        h.write(&[u8::from(self.degraded), u8::from(self.action_pruned)]);
+        h.write(self.degrade_reason.as_deref().unwrap_or("-").as_bytes());
+        h.write_u64(self.resolution as u64);
+        h.write_u64(self.pruned as u64);
+        h.write(&[self.predicted_tier]);
+        h.write(&self.confidence_bits.to_le_bytes());
     }
 }
 
@@ -311,10 +311,11 @@ pub fn run_campaign(
             }
         })
         .collect();
-    let mut outcome_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv1a::default();
     for o in &outcomes {
-        o.fold_into(&mut outcome_hash);
+        o.fold_into(&mut hash);
     }
+    let outcome_hash = hash.finish();
     m3d_obs::counter!("chaos.scenarios_run", outcomes.len() as u64);
     m3d_obs::counter!(
         "chaos.scenarios_degraded",
@@ -351,11 +352,4 @@ fn splitmix(i: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
 }

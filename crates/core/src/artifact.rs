@@ -74,24 +74,36 @@ pub struct Artifact {
     classifier_text: Option<String>,
 }
 
-/// FNV-1a 64-bit — the same zero-dep hash family the chaos campaign uses
-/// for outcome hashing; strong enough to catch generator drift.
-struct Fnv(u64);
+/// The 64-bit FNV-1a hash: a zero-dependency fold, strong enough to catch
+/// drift. It fingerprints designs here and hashes chaos-campaign
+/// outcomes.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+impl Default for Fnv1a {
+    /// A fresh hash at the FNV-1a offset basis.
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn write(&mut self, bytes: &[u8]) {
+impl Fnv1a {
+    /// Folds `bytes` in, in order.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    /// Folds `v` in as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -100,7 +112,7 @@ impl Fnv {
 /// in the deterministic design-generation flow changes at least one of
 /// these, which is exactly what must invalidate a persisted model.
 pub fn design_fingerprint(bench: &TestBench) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.write(bench.name.as_bytes());
     h.write_u64(bench.netlist().gate_count() as u64);
     h.write_u64(bench.m3d.miv_count() as u64);
@@ -109,7 +121,7 @@ pub fn design_fingerprint(bench: &TestBench) -> u64 {
     }
     h.write_u64(bench.patterns.len() as u64);
     h.write_u64(bench.coverage.to_bits());
-    h.0
+    h.finish()
 }
 
 fn err(line: usize, message: impl Into<String>) -> Error {
@@ -234,13 +246,12 @@ impl Artifact {
         bench: &TestBench,
         fw: &Framework,
     ) -> Artifact {
-        let (_, use_miv) = fw.ablation_flags();
         Artifact {
             design: bench.name.clone(),
             bench_cfg: bench_cfg.clone(),
             fingerprint: design_fingerprint(bench),
             policy: *fw.policy(),
-            use_miv,
+            use_miv: fw.use_miv(),
             t_p_fallback: fw.t_p_is_fallback(),
             tier_text: fw.tier_predictor().save_text(),
             miv_text: fw.miv_pinpointer().map(MivPinpointer::save_text),
@@ -565,6 +576,23 @@ mod tests {
         assert_eq!(back.design(), bench.name);
         assert_eq!(back.bench_config(), &cfg);
         assert_eq!(back.fingerprint(), design_fingerprint(&bench));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        let hash = |bytes: &[u8]| {
+            let mut h = Fnv1a::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces equals folding the concatenation.
+        let mut h = Fnv1a::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), hash(b"foobar"));
     }
 
     #[test]

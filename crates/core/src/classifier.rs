@@ -5,7 +5,8 @@
 //! Built by network-based deep transfer learning: the pretrained (frozen)
 //! GCN trunk of the Tier-predictor extracts features; fresh classification
 //! layers are trained on Predicted-Positive samples, with the heavily
-//! outnumbered False-Positive class balanced by dummy-buffer oversampling.
+//! outnumbered False-Positive class always balanced by dummy-buffer
+//! oversampling.
 
 use crate::backtrace::Subgraph;
 use crate::models::TierPredictor;
@@ -19,30 +20,12 @@ pub const CLASS_PRUNE: usize = 1;
 /// False Positive).
 pub const CLASS_REORDER: usize = 0;
 
-/// Classifier training settings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassifierConfig {
-    /// Training epochs for the new head.
-    pub epochs: usize,
-    /// Head hidden width.
-    pub head_hidden: usize,
-    /// Seed.
-    pub seed: u64,
-    /// Whether to balance with dummy-buffer oversampling (the paper's
-    /// method; disable for the ablation).
-    pub oversample: bool,
-}
-
-impl Default for ClassifierConfig {
-    fn default() -> Self {
-        ClassifierConfig {
-            epochs: 25,
-            head_hidden: 16,
-            seed: 0xC1A5,
-            oversample: true,
-        }
-    }
-}
+/// Training epochs for the Classifier's new head.
+const EPOCHS: usize = 25;
+/// Width of the new head's hidden layer.
+const HEAD_HIDDEN: usize = 16;
+/// Head-initialization seed (the shuffle seed derives from it).
+const SEED: u64 = 0xC1A5;
 
 /// The trained prune/reorder Classifier.
 #[derive(Debug)]
@@ -60,13 +43,11 @@ impl PruneClassifier {
     /// label is `CLASS_PRUNE` when the tier prediction is correct (True
     /// Positive) and `CLASS_REORDER` otherwise (False Positive).
     ///
+    /// The training set is balanced with dummy-buffer oversampling before
+    /// the new head trains.
+    ///
     /// Returns `None` when no sample passes the confidence gate.
-    pub fn train(
-        tier: &TierPredictor,
-        labelled: &[(Subgraph, usize)],
-        t_p: f32,
-        cfg: &ClassifierConfig,
-    ) -> Option<Self> {
+    pub fn train(tier: &TierPredictor, labelled: &[(Subgraph, usize)], t_p: f32) -> Option<Self> {
         let mut training: Vec<(Subgraph, usize)> = Vec::new();
         for (sub, true_tier) in labelled {
             if sub.is_empty() {
@@ -88,20 +69,18 @@ impl PruneClassifier {
         if training.is_empty() {
             return None;
         }
-        if cfg.oversample {
-            let synthetic = balance_with_buffers(&training);
-            training.extend(synthetic);
-        }
+        let synthetic = balance_with_buffers(&training);
+        training.extend(synthetic);
         let samples: Vec<GraphSample> = training
             .iter()
             .map(|(sub, class)| GraphSample::graph_level(sub.adj.clone(), sub.x.clone(), *class))
             .collect();
-        let mut model = tier.model().transfer(2, Some(cfg.head_hidden), cfg.seed);
+        let mut model = tier.model().transfer(2, Some(HEAD_HIDDEN), SEED);
         model.train(
             &samples,
             &TrainConfig {
-                epochs: cfg.epochs,
-                seed: cfg.seed ^ 0x99,
+                epochs: EPOCHS,
+                seed: SEED ^ 0x99,
                 label: Some("classifier".to_string()),
                 ..TrainConfig::default()
             },
@@ -197,7 +176,7 @@ mod tests {
                     .map(|t: Tier| (s.subgraph.clone(), t.index()))
             })
             .collect();
-        let clf = PruneClassifier::train(&tier, &labelled, 0.5, &ClassifierConfig::default())
+        let clf = PruneClassifier::train(&tier, &labelled, 0.5)
             .expect("some predicted positives at t_p = 0.5");
         let (decision, p) = clf.should_prune(&samples[0].subgraph);
         assert!((0.0..=1.0).contains(&p));
@@ -225,8 +204,6 @@ mod tests {
             .filter_map(|s| s.fault.tier(&tb).map(|t| (s.subgraph.clone(), t.index())))
             .collect();
         // Confidence can never exceed 1.0.
-        assert!(
-            PruneClassifier::train(&tier, &labelled, 1.1, &ClassifierConfig::default()).is_none()
-        );
+        assert!(PruneClassifier::train(&tier, &labelled, 1.1).is_none());
     }
 }

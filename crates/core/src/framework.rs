@@ -4,7 +4,7 @@
 
 use crate::audit::DiagnosisAudit;
 use crate::backtrace::Subgraph;
-use crate::classifier::{ClassifierConfig, PruneClassifier};
+use crate::classifier::PruneClassifier;
 use crate::dataset::{DesignContext, Sample};
 use crate::design::TestBench;
 use crate::error::Error;
@@ -23,8 +23,6 @@ use std::time::{Duration, Instant};
 pub struct FrameworkConfig {
     /// Model hyper-parameters.
     pub model: ModelTrainConfig,
-    /// Classifier hyper-parameters.
-    pub classifier: ClassifierConfig,
     /// Precision target for the `T_P` rule (paper: 0.99).
     pub precision_target: f64,
     /// MIV fault-probability threshold.
@@ -41,7 +39,6 @@ impl Default for FrameworkConfig {
     fn default() -> Self {
         FrameworkConfig {
             model: ModelTrainConfig::default(),
-            classifier: ClassifierConfig::default(),
             precision_target: 0.99,
             miv_threshold: 0.8,
             use_classifier: true,
@@ -155,7 +152,6 @@ pub struct Framework {
     miv: Option<MivPinpointer>,
     classifier: Option<PruneClassifier>,
     policy: PolicyConfig,
-    use_tier: bool,
     use_miv: bool,
     t_p_fallback: bool,
 }
@@ -200,7 +196,7 @@ impl Framework {
             .then(|| MivPinpointer::train_with_pool(&ts.miv_samples, &cfg.model, pool));
         let classifier = cfg
             .use_classifier
-            .then(|| PruneClassifier::train(&tier, &ts.labelled_subgraphs, t_p, &cfg.classifier))
+            .then(|| PruneClassifier::train(&tier, &ts.labelled_subgraphs, t_p))
             .flatten();
         m3d_obs::gauge!("framework.t_p", f64::from(t_p));
         m3d_obs::info!(
@@ -217,7 +213,6 @@ impl Framework {
                 miv_threshold: cfg.miv_threshold,
                 tier_enabled: cfg.use_tier,
             },
-            use_tier: cfg.use_tier,
             use_miv: cfg.use_miv,
             t_p_fallback,
         })
@@ -256,9 +251,10 @@ impl Framework {
         &self.policy
     }
 
-    /// The `(use_tier, use_miv)` ablation flags.
-    pub(crate) fn ablation_flags(&self) -> (bool, bool) {
-        (self.use_tier, self.use_miv)
+    /// Whether the MIV-pinpointer is consulted (Table XI ablation; the
+    /// Tier-predictor's flag is the policy's `tier_enabled`).
+    pub(crate) fn use_miv(&self) -> bool {
+        self.use_miv
     }
 
     /// Reassembles a framework from deserialized parts (artifact loading;
@@ -275,7 +271,6 @@ impl Framework {
             tier,
             miv,
             classifier,
-            use_tier: policy.tier_enabled,
             use_miv,
             t_p_fallback,
             policy,
@@ -342,7 +337,7 @@ impl Framework {
         let mut degraded: Option<DegradeReason> = None;
         // [0.5, 0.5] never clears T_P, so every fallback below degrades
         // the policy to a no-op reorder of the ATPG ranking.
-        let tier_probs = if !self.use_tier {
+        let tier_probs = if !self.policy.tier_enabled {
             [0.5, 0.5] // ablation, not degradation
         } else if subgraph.is_empty() {
             degraded = Some(DegradeReason::EmptySubgraph);

@@ -87,13 +87,13 @@ mod pipeline;
 mod policy;
 mod session;
 
-pub use artifact::{design_fingerprint, Artifact, ARTIFACT_HEADER};
+pub use artifact::{design_fingerprint, Artifact, Fnv1a, ARTIFACT_HEADER};
 pub use audit::DiagnosisAudit;
 pub use backtrace::{
     backtrace, build_subgraph, reference_backtrace, reference_cone, BacktraceConfig,
     BacktraceStats, PatternActivity, Subgraph,
 };
-pub use classifier::{ClassifierConfig, PruneClassifier, CLASS_PRUNE, CLASS_REORDER};
+pub use classifier::{PruneClassifier, CLASS_PRUNE, CLASS_REORDER};
 pub use dataset::{
     generate_samples, generate_samples_with_pool, DatasetConfig, DesignContext, InjectedFault,
     Sample,

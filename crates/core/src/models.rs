@@ -23,12 +23,6 @@ pub struct ModelTrainConfig {
     /// Restarts train concurrently when the driving pool has spare
     /// threads — the winner is identical either way.
     pub restarts: usize,
-    /// Gradient-accumulation minibatch size (see
-    /// [`TrainConfig::batch_size`]). The default of 1 keeps the paper's
-    /// per-sample Adam stepping; larger batches let leftover pool threads
-    /// parallelize within each restart at the cost of fewer optimizer
-    /// steps per epoch.
-    pub batch_size: usize,
 }
 
 impl Default for ModelTrainConfig {
@@ -38,7 +32,6 @@ impl Default for ModelTrainConfig {
             seed: 0xD1A6,
             hidden: vec![64, 32],
             restarts: 3,
-            batch_size: 1,
         }
     }
 }
@@ -54,10 +47,9 @@ fn best_of_restarts(
 ) -> GcnModel {
     let restarts = cfg.restarts.max(1);
     // Restarts are fully independent, so they fan out across the pool;
-    // each restart trains on an even share of the remaining threads
-    // (usually 1, i.e. inline). `map_indices` returns in restart order,
-    // so the best-accuracy tie-break (first wins) matches a serial loop.
-    let inner = pool.split(restarts.min(pool.threads()));
+    // each trains start to finish on one worker. `map_indices` returns in
+    // restart order, so the best-accuracy tie-break (first wins) matches
+    // a serial loop.
     let runs = pool.map_indices(restarts, |r| {
         let seed = cfg.seed.wrapping_add(0x9E37 * r as u64);
         let mut model = GcnModel::new(&GcnConfig {
@@ -75,17 +67,14 @@ fn best_of_restarts(
         } else {
             format!("{curve_label}/r{r}")
         };
-        model.train_with_pool(
+        model.train(
             samples,
             &TrainConfig {
                 epochs: cfg.epochs,
                 seed: seed ^ 0xA5A5,
-                batch_size: cfg.batch_size,
                 class_weights: class_weights.clone(),
                 label: Some(label),
-                ..TrainConfig::default()
             },
-            &inner,
         );
         let acc = match &class_weights {
             Some(w) => weighted_accuracy(&model, samples, w),
@@ -151,8 +140,8 @@ impl TierPredictor {
         Self::train_multi(samples, 2, cfg)
     }
 
-    /// [`TierPredictor::train`] on an explicit [`ExecPool`] (restarts and
-    /// minibatches fan out; the result is identical at any thread count).
+    /// [`TierPredictor::train`] on an explicit [`ExecPool`] (restarts fan
+    /// out; the result is identical at any thread count).
     ///
     /// # Panics
     ///

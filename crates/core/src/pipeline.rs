@@ -41,7 +41,7 @@ impl PipelineBuilder {
     }
 
     /// Worker-thread budget for every parallel stage the pipeline runs
-    /// (training restarts, dataset generation, gradient minibatches).
+    /// (training restarts, dataset generation).
     /// `1` forces fully serial execution.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
@@ -55,40 +55,15 @@ impl PipelineBuilder {
         self
     }
 
-    /// Whether to train and use the MIV-pinpointer (default `true`).
-    pub fn use_miv(mut self, enabled: bool) -> Self {
-        self.cfg.use_miv = enabled;
-        self
-    }
-
-    /// Whether to train and use the prune/reorder Classifier
-    /// (default `true`).
-    pub fn use_classifier(mut self, enabled: bool) -> Self {
-        self.cfg.use_classifier = enabled;
-        self
-    }
-
-    /// Whether the policy consults the Tier-predictor (default `true`;
-    /// the Table XI ablation switches it off).
-    pub fn use_tier(mut self, enabled: bool) -> Self {
-        self.cfg.use_tier = enabled;
-        self
-    }
-
-    /// MIV fault-probability threshold for the policy (default 0.8).
-    pub fn miv_threshold(mut self, t: f32) -> Self {
-        self.cfg.miv_threshold = t;
-        self
-    }
-
     /// Model training hyper-parameters (epochs, seeds, widths, restarts).
     pub fn model(mut self, model: ModelTrainConfig) -> Self {
         self.cfg.model = model;
         self
     }
 
-    /// Replaces the whole framework configuration at once; the named
-    /// setters above remain usable afterwards for individual overrides.
+    /// Replaces the whole framework configuration at once (the ablation
+    /// switches and the MIV threshold are set only here); `model` and
+    /// `precision_target` remain usable afterwards as overrides.
     pub fn framework_config(mut self, cfg: FrameworkConfig) -> Self {
         self.cfg = cfg;
         self
@@ -220,15 +195,23 @@ mod tests {
     fn builder_setters_apply() {
         let p = PipelineBuilder::new()
             .threads(3)
+            .framework_config(FrameworkConfig {
+                use_miv: false,
+                use_classifier: false,
+                use_tier: false,
+                miv_threshold: 0.5,
+                ..FrameworkConfig::default()
+            })
             .precision_target(0.9)
-            .use_miv(false)
-            .use_classifier(false)
-            .use_tier(false)
-            .miv_threshold(0.5)
+            .model(ModelTrainConfig {
+                epochs: 7,
+                ..ModelTrainConfig::default()
+            })
             .build();
         assert_eq!(p.pool().threads(), 3);
         let cfg = p.config();
         assert_eq!(cfg.precision_target, 0.9);
+        assert_eq!(cfg.model.epochs, 7);
         assert!(!cfg.use_miv && !cfg.use_classifier && !cfg.use_tier);
         assert_eq!(cfg.miv_threshold, 0.5);
     }

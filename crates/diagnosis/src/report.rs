@@ -29,12 +29,6 @@ impl Candidate {
     pub fn is_exact(&self) -> bool {
         self.tfsp == 0 && self.tpsf == 0
     }
-
-    /// The ranking score used by the report: exact matches first, then by
-    /// explained fails minus mispredictions.
-    pub fn score(&self) -> f64 {
-        f64::from(self.tfsf) - 0.5 * f64::from(self.tfsp) - 0.5 * f64::from(self.tpsf)
-    }
 }
 
 /// A ranked diagnosis report.
@@ -196,9 +190,10 @@ mod tests {
 
     #[test]
     fn exactness_and_score() {
+        // Exactness reads only the mismatch components of the score.
         assert!(cand(1, 4, 0, 0).is_exact());
         assert!(!cand(1, 4, 1, 0).is_exact());
-        assert!(cand(1, 4, 0, 0).score() > cand(1, 4, 2, 1).score());
+        assert!(!cand(1, 4, 0, 1).is_exact());
     }
 
     #[test]

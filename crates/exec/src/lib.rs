@@ -1,7 +1,7 @@
 //! # m3d-exec
 //!
 //! A zero-dependency scoped worker pool for the embarrassingly-parallel
-//! hot paths of the pipeline: per-sample gradient computation, per-chip
+//! hot paths of the pipeline: independent training restarts, per-chip
 //! fault simulation / back-tracing, and the per-case diagnosis sweep.
 //!
 //! The workspace builds offline (no crates.io), so the pool is
@@ -102,14 +102,6 @@ impl ExecPool {
     /// The resolved worker-thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Splits the budget across `n` concurrent consumers: a pool each
-    /// consumer can use for its own nested `map` calls without
-    /// oversubscribing the host (e.g. parallel training restarts that
-    /// each run batch-parallel epochs).
-    pub fn split(&self, n: usize) -> ExecPool {
-        ExecPool::with_threads(self.threads / n.max(1))
     }
 
     /// Applies `f` to every item and returns the results **in input
@@ -295,12 +287,5 @@ mod tests {
             }
         }
         std::panic::set_hook(prev);
-    }
-
-    #[test]
-    fn split_shares_the_budget() {
-        assert_eq!(ExecPool::with_threads(8).split(3).threads(), 2);
-        assert_eq!(ExecPool::with_threads(2).split(4).threads(), 1);
-        assert_eq!(ExecPool::with_threads(4).split(0).threads(), 4);
     }
 }

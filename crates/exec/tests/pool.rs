@@ -44,11 +44,10 @@ fn worker_panic_propagates_to_caller() {
 
 #[test]
 fn nested_maps_reuse_the_pool() {
-    // An outer fan-out whose workers issue their own (split-budget)
-    // nested maps — the shape of parallel training restarts running
-    // batch-parallel epochs.
+    // An outer fan-out whose workers issue their own nested maps: each
+    // worker opens its own scope on a shared inner pool value.
     let outer = ExecPool::with_threads(4);
-    let inner = outer.split(4);
+    let inner = ExecPool::with_threads(2);
     let rows: Vec<usize> = (0..8).collect();
     let table = outer.map(&rows, |_, &r| inner.map_indices(16, |c| r * 16 + c));
     for (r, row) in table.iter().enumerate() {

@@ -1,28 +1,17 @@
 //! The Adam optimizer with one state record per parameter tensor.
+//!
+//! Every network of the framework trains with the same hyper-parameters
+//! (the PyTorch defaults with a 1e-2 learning rate), so they are
+//! constants rather than a configuration.
 
-/// Adam hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdamConfig {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        AdamConfig {
-            lr: 1e-2,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-}
+/// Learning rate.
+const LR: f32 = 1e-2;
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical-stability epsilon.
+const EPS: f32 = 1e-8;
 
 /// Per-tensor Adam state (first/second moment estimates).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,22 +47,22 @@ impl AdamState {
     /// # Panics
     ///
     /// Panics if `param`, `grad`, and the state disagree on length.
-    pub fn step(&mut self, cfg: &AdamConfig, param: &mut [f32], grad: &[f32]) {
+    pub fn step(&mut self, param: &mut [f32], grad: &[f32]) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
         assert_eq!(param.len(), self.m.len(), "state length mismatch");
         self.t += 1;
-        let b1t = 1.0 - cfg.beta1.powi(self.t as i32);
-        let b2t = 1.0 - cfg.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..param.len() {
-            let m = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * grad[i];
-            let v = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * grad[i] * grad[i];
+            let m = BETA1 * self.m[i] + (1.0 - BETA1) * grad[i];
+            let v = BETA2 * self.v[i] + (1.0 - BETA2) * grad[i] * grad[i];
             let m = if m.abs() < f32::MIN_POSITIVE { 0.0 } else { m };
             let v = if v < f32::MIN_POSITIVE { 0.0 } else { v };
             self.m[i] = m;
             self.v[i] = v;
             let mhat = m / b1t;
             let vhat = v / b2t;
-            param[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+            param[i] -= LR * mhat / (vhat.sqrt() + EPS);
         }
     }
 }
@@ -84,33 +73,29 @@ mod tests {
 
     #[test]
     fn adam_minimizes_quadratic() {
-        // Minimize f(x) = (x - 3)^2 from x = 0.
-        let cfg = AdamConfig {
-            lr: 0.1,
-            ..AdamConfig::default()
-        };
+        // Minimize f(x) = (x - 3)^2 from x = 0. Adam moves about LR per
+        // step, so 3 / LR steps cover the distance; the rest settle.
         let mut st = AdamState::new(1);
         let mut x = [0.0f32];
-        for _ in 0..500 {
+        for _ in 0..5_000 {
             let g = [2.0 * (x[0] - 3.0)];
-            st.step(&cfg, &mut x, &g);
+            st.step(&mut x, &g);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
     }
 
     #[test]
     fn first_step_moves_by_about_lr() {
-        let cfg = AdamConfig::default();
         let mut st = AdamState::new(1);
         let mut x = [1.0f32];
-        st.step(&cfg, &mut x, &[123.0]);
+        st.step(&mut x, &[123.0]);
         // Adam's bias-corrected first step is ≈ lr regardless of grad scale.
-        assert!((1.0 - x[0] - cfg.lr).abs() < 1e-4, "{}", x[0]);
+        assert!((1.0 - x[0] - LR).abs() < 1e-4, "{}", x[0]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_checked() {
-        AdamState::new(2).step(&AdamConfig::default(), &mut [0.0], &[0.0]);
+        AdamState::new(2).step(&mut [0.0], &[0.0]);
     }
 }

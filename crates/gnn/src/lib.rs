@@ -41,7 +41,7 @@ mod proptests;
 mod serialize;
 mod workspace;
 
-pub use adam::{AdamConfig, AdamState};
+pub use adam::AdamState;
 pub use explain::{permutation_significance, stack_features, FeatureSignificance};
 pub use graph::{Graph, NormAdj};
 #[doc(hidden)]

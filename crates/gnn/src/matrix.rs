@@ -162,18 +162,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Adds `other` element-wise in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Adds a row vector to every row in place (bias broadcast).
     ///
     /// # Panics

@@ -11,13 +11,12 @@
 //!   pretrained GCN trunk plus fresh trainable classification layers
 //!   (network-based deep transfer learning).
 
-use crate::adam::{AdamConfig, AdamState};
+use crate::adam::AdamState;
 use crate::graph::NormAdj;
 use crate::layers::{relu_backward, GcnLayer, Linear};
 use crate::loss::{argmax, cross_entropy, cross_entropy_into, softmax_row};
 use crate::matrix::Matrix;
-use crate::workspace::{Grads, TrainScratch, Workspace};
-use m3d_exec::ExecPool;
+use crate::workspace::{Grads, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -120,22 +119,13 @@ impl GraphSample {
     }
 }
 
-/// Training-loop configuration.
+/// Training-loop configuration (Adam's hyper-parameters are constants).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of epochs.
     pub epochs: usize,
-    /// Adam settings.
-    pub adam: AdamConfig,
     /// Sample-shuffling seed.
     pub seed: u64,
-    /// Minibatch size for gradient accumulation. All gradients of a batch
-    /// are computed against the same (batch-start) weights — in parallel
-    /// when the driving [`ExecPool`] has more than one thread — then
-    /// averaged in fixed sample order and applied as a single Adam step,
-    /// so the result is bit-identical at any thread count. A size of 1
-    /// reproduces classic per-sample stepping (and never fans out).
-    pub batch_size: usize,
     /// Optional per-class loss weights (imbalance correction).
     pub class_weights: Option<Vec<f32>>,
     /// Observability label: when set, every epoch's mean loss and wall
@@ -148,9 +138,7 @@ impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             epochs: 30,
-            adam: AdamConfig::default(),
             seed: 1,
-            batch_size: 1,
             class_weights: None,
             label: None,
         }
@@ -169,10 +157,10 @@ pub struct GcnModel {
     head: Vec<Linear>,
     frozen_gcn: usize,
     states: ParamStates,
-    /// Recycled workspaces and gradient sets for the training hot path
-    /// (persisted across `train_with_pool` calls so steady-state epochs
-    /// are allocation-free).
-    scratch: TrainScratch,
+    /// The training hot path's buffers, kept across [`GcnModel::train`]
+    /// calls so that steady-state epochs allocate nothing.
+    ws: Workspace,
+    grads: Grads,
 }
 
 struct Forward {
@@ -217,15 +205,7 @@ impl GcnModel {
             cfg.n_classes,
             cfg.seed ^ 0x5EED,
         );
-        let states = Self::fresh_states(&gcn, &head);
-        GcnModel {
-            task: cfg.task,
-            gcn,
-            head,
-            frozen_gcn: 0,
-            states,
-            scratch: TrainScratch::default(),
-        }
+        Self::from_parts(cfg.task, gcn, head, 0)
     }
 
     fn build_head(d: usize, hidden: Option<usize>, n_classes: usize, seed: u64) -> Vec<Linear> {
@@ -365,22 +345,6 @@ impl GcnModel {
             out.row_mut(r).copy_from_slice(&p);
         }
         out
-    }
-
-    /// Node embeddings after the GCN trunk (for visualization/analysis).
-    pub fn embed(&self, adj: &NormAdj, x: &Matrix) -> Matrix {
-        let mut h = Matrix::default();
-        for (l, layer) in self.gcn.iter().enumerate() {
-            let input = if l == 0 { x } else { &h };
-            let (mut z, _) = layer.forward(adj, input);
-            for a in z.as_mut_slice() {
-                if *a < 0.0 {
-                    *a = 0.0;
-                }
-            }
-            h = z;
-        }
-        h
     }
 
     /// Loss and parameter gradients for one sample — the **reference
@@ -586,128 +550,56 @@ impl GcnModel {
         loss
     }
 
-    /// One Adam step per parameter from accumulated gradients. Frozen GCN
-    /// layers are skipped (their optimizer state stays untouched).
-    fn apply_grads(&mut self, adam: &AdamConfig, g: &Grads) {
+    /// One Adam step per parameter from one sample's gradients. Frozen
+    /// GCN layers are skipped (their optimizer state stays untouched).
+    fn apply_grads(&mut self, g: &Grads) {
         for i in 0..self.head.len() {
             let (sw, sb) = &mut self.states.head[i];
-            sw.step(adam, self.head[i].w.as_mut_slice(), g.head[i].0.as_slice());
-            sb.step(adam, &mut self.head[i].b, &g.head[i].1);
+            sw.step(self.head[i].w.as_mut_slice(), g.head[i].0.as_slice());
+            sb.step(&mut self.head[i].b, &g.head[i].1);
         }
         for i in self.frozen_gcn..self.gcn.len() {
             let (sw, sb) = &mut self.states.gcn[i];
-            sw.step(adam, self.gcn[i].w.as_mut_slice(), g.gcn[i].0.as_slice());
-            sb.step(adam, &mut self.gcn[i].b, &g.gcn[i].1);
+            sw.step(self.gcn[i].w.as_mut_slice(), g.gcn[i].0.as_slice());
+            sb.step(&mut self.gcn[i].b, &g.gcn[i].1);
         }
     }
 
-    /// Pre-sizes the recycled training buffers for `parallelism`
-    /// concurrent workers against `sample`'s shapes.
-    ///
-    /// The workspace pool normally grows to the *observed* peak of
-    /// concurrently training workers, so a worker that sat idle through
-    /// early batches can still trigger one workspace allocation mid-run
-    /// the first time it overlaps another. Warming with the worker count
-    /// up front makes subsequent training steps on same-shaped (or
-    /// smaller) samples strictly allocation-free. Runs throwaway gradient
-    /// computations; weights are not touched.
-    pub fn warm_scratch(&mut self, sample: &GraphSample, parallelism: usize) {
-        let mut warmed = Vec::with_capacity(parallelism.max(1));
-        for _ in 0..parallelism.max(1) {
-            let mut ws = self.scratch.ws.take();
-            let mut g = self.scratch.grads.take();
-            // Twice per workspace: the backward pass swaps the two
-            // ping-pong gradient buffers an odd number of times, so they
-            // trade roles between calls and each needs to have held the
-            // widest gradient once before the workspace is fully sized.
-            for _ in 0..2 {
-                self.compute_grads_into(sample, None, &mut ws, &mut g);
-            }
-            warmed.push((ws, g));
-        }
-        for (ws, g) in warmed {
-            self.scratch.ws.put(ws);
-            self.scratch.grads.put(g);
-        }
-    }
-
-    /// One gradient step on a single sample; returns its loss.
-    pub fn train_sample(
-        &mut self,
-        sample: &GraphSample,
-        adam: &AdamConfig,
-        class_weights: Option<&[f32]>,
-    ) -> f64 {
+    /// One gradient step on a single sample through the reference
+    /// gradient path; returns its loss.
+    pub fn train_sample(&mut self, sample: &GraphSample, class_weights: Option<&[f32]>) -> f64 {
         let (loss, grads) = self.compute_grads(sample, class_weights);
-        self.apply_grads(adam, &grads);
+        self.apply_grads(&grads);
         loss
     }
 
-    /// Trains on `samples` for `cfg.epochs` epochs with the
-    /// [`ExecPool`] resolved from the environment (`M3D_THREADS`, else
-    /// available parallelism); returns the mean loss of each epoch. See
-    /// [`GcnModel::train_with_pool`] for the determinism contract.
+    /// Trains on `samples` for `cfg.epochs` epochs and returns the mean
+    /// loss of each epoch. Each epoch visits the samples in a seeded
+    /// shuffle order and takes one Adam step per sample, on the fused
+    /// gradient path.
+    ///
+    /// Training runs on the caller's thread, so the weights and the loss
+    /// curve depend only on the model, `samples` and `cfg` — never on a
+    /// thread count (callers run independent models in parallel, e.g.
+    /// restarts; see DESIGN.md "Threading model").
     pub fn train(&mut self, samples: &[GraphSample], cfg: &TrainConfig) -> Vec<f64> {
-        self.train_with_pool(samples, cfg, &ExecPool::default())
-    }
-
-    /// Trains on `samples` for `cfg.epochs` epochs: shuffled minibatches
-    /// of `cfg.batch_size`, each batch's gradients computed in parallel on
-    /// `pool` against batch-start weights, then reduced **in fixed sample
-    /// order** and applied as one Adam step. Because reduction order never
-    /// depends on worker scheduling, the weights and returned loss curve
-    /// are bit-identical for any thread count (see DESIGN.md "Threading
-    /// model").
-    pub fn train_with_pool(
-        &mut self,
-        samples: &[GraphSample],
-        cfg: &TrainConfig,
-        pool: &ExecPool,
-    ) -> Vec<f64> {
         let _span = m3d_obs::span!("gnn.train");
         let flops_start = crate::kernels::kernel_flops();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..samples.len()).collect();
-        let batch = cfg.batch_size.max(1);
+        let weights = cfg.class_weights.as_deref();
+        // Moved out for the call: the gradient pass borrows the model
+        // while it writes them.
+        let mut ws = std::mem::take(&mut self.ws);
+        let mut grads = std::mem::take(&mut self.grads);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for epoch in 0..cfg.epochs {
             let t0 = std::time::Instant::now();
             order.shuffle(&mut rng);
             let mut total = 0.0;
-            for chunk in order.chunks(batch) {
-                let weights = cfg.class_weights.as_deref();
-                let acc = if chunk.len() == 1 {
-                    // Single-sample step inline on the caller's thread: no
-                    // pool dispatch, recycled workspace, zero allocation.
-                    let mut ws = self.scratch.ws.take();
-                    let mut g = self.scratch.grads.take();
-                    total += self.compute_grads_into(&samples[chunk[0]], weights, &mut ws, &mut g);
-                    self.scratch.ws.put(ws);
-                    g
-                } else {
-                    let results = pool.map(chunk, |_, &i| {
-                        let mut ws = self.scratch.ws.take();
-                        let mut g = self.scratch.grads.take();
-                        let loss = self.compute_grads_into(&samples[i], weights, &mut ws, &mut g);
-                        self.scratch.ws.put(ws);
-                        (loss, g)
-                    });
-                    // Deterministic fixed-order reduction: `map` returns
-                    // results in chunk order regardless of which worker
-                    // produced them.
-                    let mut results = results.into_iter();
-                    let (first_loss, mut acc) = results.next().expect("chunk is non-empty");
-                    total += first_loss;
-                    for (loss, g) in results {
-                        total += loss;
-                        acc.add_assign(&g);
-                        self.scratch.grads.put(g);
-                    }
-                    acc.scale(1.0 / chunk.len() as f32);
-                    acc
-                };
-                self.apply_grads(&cfg.adam, &acc);
-                self.scratch.grads.put(acc);
+            for &i in &order {
+                total += self.compute_grads_into(&samples[i], weights, &mut ws, &mut grads);
+                self.apply_grads(&grads);
             }
             let loss = total / samples.len().max(1) as f64;
             losses.push(loss);
@@ -716,6 +608,8 @@ impl GcnModel {
                 m3d_obs::trace!("{label} epoch {epoch}: loss {loss:.6}");
             }
         }
+        self.ws = ws;
+        self.grads = grads;
         // Kernel work attributable to this training run (obsctl derives
         // effective GFLOP/s from this counter over the gnn.train span).
         let flops = crate::kernels::kernel_flops() - flops_start;
@@ -747,15 +641,8 @@ impl GcnModel {
         let gcn = self.gcn.clone();
         let d = 2 * gcn.last().expect("non-empty trunk").out_dim(); // mean ‖ max
         let head = Self::build_head(d, head_hidden, n_classes, seed);
-        let states = Self::fresh_states(&gcn, &head);
-        GcnModel {
-            task: Task::Graph,
-            frozen_gcn: gcn.len(),
-            gcn,
-            head,
-            states,
-            scratch: TrainScratch::default(),
-        }
+        let frozen_gcn = gcn.len();
+        Self::from_parts(Task::Graph, gcn, head, frozen_gcn)
     }
 
     /// Freezes the first `k` GCN layers (their weights stop updating).
@@ -773,7 +660,8 @@ impl GcnModel {
         (&self.gcn, &self.head)
     }
 
-    /// Reassembles a model from deserialized parts (fresh optimizer state).
+    /// Assembles a model from its layers with fresh optimizer state (and
+    /// empty training buffers).
     pub(crate) fn from_parts(
         task: Task,
         gcn: Vec<GcnLayer>,
@@ -787,7 +675,8 @@ impl GcnModel {
             head,
             frozen_gcn,
             states,
-            scratch: TrainScratch::default(),
+            ws: Workspace::default(),
+            grads: Grads::default(),
         }
     }
 }
@@ -919,9 +808,9 @@ mod tests {
                 ..TrainConfig::default()
             },
         );
-        let trunk_w_before = base.embed(&data[0].adj, &data[0].x);
         let mut t = base.transfer(2, Some(8), 77);
         assert_eq!(t.frozen_layer_count(), t.gcn_layer_count());
+        let head_before = t.head.clone();
         t.train(
             &data,
             &TrainConfig {
@@ -929,9 +818,9 @@ mod tests {
                 ..TrainConfig::default()
             },
         );
-        // Frozen trunk ⇒ identical embeddings after further training.
-        let trunk_w_after = t.embed(&data[0].adj, &data[0].x);
-        assert_eq!(trunk_w_before, trunk_w_after);
+        // Training moved the fresh head but not the frozen trunk.
+        assert_ne!(t.head, head_before);
+        assert_eq!(t.gcn, base.gcn);
     }
 
     #[test]
@@ -951,73 +840,41 @@ mod tests {
     }
 
     #[test]
-    fn batched_training_is_thread_count_invariant() {
-        // The determinism contract: identical loss curves AND identical
-        // weights (checked through logits) at any pool width.
-        let data = toy_dataset(24, 13);
-        let cfg = TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            ..TrainConfig::default()
-        };
-        let run = |pool: &ExecPool| {
-            let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-            let losses = m.train_with_pool(&data, &cfg, pool);
-            let logits: Vec<Vec<f32>> = data
-                .iter()
-                .map(|s| m.logits(&s.adj, &s.x).as_slice().to_vec())
-                .collect();
-            (losses, logits)
-        };
-        let serial = run(&ExecPool::serial());
-        for threads in [2, 4] {
-            assert_eq!(run(&ExecPool::with_threads(threads)), serial);
-        }
-    }
-
-    #[test]
     fn batch_size_one_matches_legacy_per_sample_path() {
-        // compute-then-apply (batched path, batch of 1) must be bitwise
-        // identical to the fused train_sample stepping.
+        // `train` (fused gradient pass, one Adam step per sample) must be
+        // bitwise identical to stepping the reference `train_sample` in
+        // the same shuffle order.
         let data = toy_dataset(12, 14);
-        let run = |batch_size: usize| {
-            let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-            let losses = m.train_with_pool(
-                &data,
-                &TrainConfig {
-                    epochs: 2,
-                    batch_size,
-                    ..TrainConfig::default()
-                },
-                &ExecPool::with_threads(4),
-            );
-            let logits: Vec<Vec<f32>> = data
-                .iter()
+        let logits = |m: &GcnModel| -> Vec<Vec<f32>> {
+            data.iter()
                 .map(|s| m.logits(&s.adj, &s.x).as_slice().to_vec())
-                .collect();
-            (losses, logits)
+                .collect()
+        };
+        let fused = {
+            let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
+            let cfg = TrainConfig {
+                epochs: 2,
+                ..TrainConfig::default()
+            };
+            let losses = m.train(&data, &cfg);
+            (losses, logits(&m))
         };
         let legacy = {
             let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
             let mut rng = StdRng::seed_from_u64(TrainConfig::default().seed);
             let mut order: Vec<usize> = (0..data.len()).collect();
-            let adam = AdamConfig::default();
             let mut losses = Vec::new();
             for _ in 0..2 {
                 order.shuffle(&mut rng);
                 let mut total = 0.0;
                 for &i in &order {
-                    total += m.train_sample(&data[i], &adam, None);
+                    total += m.train_sample(&data[i], None);
                 }
                 losses.push(total / data.len() as f64);
             }
-            let logits: Vec<Vec<f32>> = data
-                .iter()
-                .map(|s| m.logits(&s.adj, &s.x).as_slice().to_vec())
-                .collect();
-            (losses, logits)
+            (losses, logits(&m))
         };
-        assert_eq!(run(1), legacy);
+        assert_eq!(fused, legacy);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Reusable training buffers: the memory model behind the zero-allocation
-//! steady state of [`GcnModel::train_with_pool`](crate::GcnModel::train_with_pool).
+//! steady state of [`GcnModel::train`](crate::GcnModel::train).
 //!
 //! A [`Workspace`] owns every intermediate a fused forward+backward pass
 //! needs — activations, pre-activations, pooled readouts, ping-pong
@@ -7,20 +7,13 @@
 //! values resized with [`Matrix::reset`], which keeps the backing
 //! allocation; after one warmup pass over the largest sample, no further
 //! heap traffic occurs (asserted by the `alloc_steady_state` integration
-//! test under the `alloc-profile` feature).
-//!
-//! Workers of an [`ExecPool`](m3d_exec::ExecPool) region are anonymous
-//! (the `map` closure sees only item indices), so workspaces are handed
-//! out through a [`BufferPool`] — a mutex-guarded stack. Which physical
-//! buffer a worker happens to pop never influences results: every pass
-//! fully overwrites what it reads, so the training determinism contract
-//! (DESIGN.md "Threading model") is untouched.
+//! test under the `alloc-profile` feature). A model keeps one workspace
+//! and one [`Grads`] across training calls.
 
 use crate::matrix::Matrix;
-use std::sync::Mutex;
 
-/// Per-parameter gradients of one sample (or an accumulated minibatch):
-/// `(dW, db)` per GCN layer and per head layer, in layer order.
+/// Per-parameter gradients of one sample: `(dW, db)` per GCN layer and
+/// per head layer, in layer order.
 #[derive(Default)]
 pub(crate) struct Grads {
     pub gcn: Vec<(Matrix, Vec<f32>)>,
@@ -34,38 +27,13 @@ impl Grads {
         self.gcn.resize_with(gcn, Default::default);
         self.head.resize_with(head, Default::default);
     }
-
-    /// Accumulates `other` element-wise.
-    pub fn add_assign(&mut self, other: &Grads) {
-        let add = |acc: &mut Vec<(Matrix, Vec<f32>)>, oth: &Vec<(Matrix, Vec<f32>)>| {
-            for ((aw, ab), (ow, ob)) in acc.iter_mut().zip(oth) {
-                aw.add_assign(ow);
-                for (a, &o) in ab.iter_mut().zip(ob) {
-                    *a += o;
-                }
-            }
-        };
-        add(&mut self.gcn, &other.gcn);
-        add(&mut self.head, &other.head);
-    }
-
-    /// Scales every gradient by `s` (minibatch averaging).
-    pub fn scale(&mut self, s: f32) {
-        for (w, b) in self.gcn.iter_mut().chain(self.head.iter_mut()) {
-            w.scale(s);
-            for v in b.iter_mut() {
-                *v *= s;
-            }
-        }
-    }
 }
 
 /// Every intermediate buffer of one fused forward+backward pass.
 ///
-/// Lifecycle: popped from a [`BufferPool`] at the start of a sample's
-/// gradient computation, fully overwritten by it, pushed back when done.
-/// Buffer shapes track the current sample via [`Matrix::reset`]; capacities
-/// only grow, so after the first epoch the workspace is allocation-free.
+/// A pass fully overwrites what it reads. Buffer shapes track the
+/// current sample via [`Matrix::reset`]; capacities only grow, so after
+/// the first epoch the workspace is allocation-free.
 #[derive(Default)]
 pub(crate) struct Workspace {
     /// `Â·h` per GCN layer. Slot 0 stays empty: layer 0 reads the sample's
@@ -109,67 +77,9 @@ impl Workspace {
     }
 }
 
-/// A mutex-guarded stack of reusable buffers.
-///
-/// `take` pops (or default-constructs on a cold start), `put` pushes back.
-/// The stack depth converges to the peak number of concurrent users — the
-/// pool's worker count — after which take/put are two uncontended lock
-/// operations and zero allocations.
-pub(crate) struct BufferPool<T> {
-    stack: Mutex<Vec<T>>,
-}
-
-impl<T> Default for BufferPool<T> {
-    fn default() -> Self {
-        BufferPool {
-            stack: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl<T: Default> BufferPool<T> {
-    /// Pops a recycled buffer, or default-constructs one on a cold start.
-    pub fn take(&self) -> T {
-        self.stack
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a buffer for reuse.
-    pub fn put(&self, t: T) {
-        self.stack.lock().expect("buffer pool poisoned").push(t);
-    }
-}
-
-/// The training scratch a [`GcnModel`](crate::GcnModel) carries across
-/// `train_with_pool` calls: one pool of workspaces and one of gradient
-/// sets. Persisting it on the model (rather than per call) is what makes a
-/// *second* training run — e.g. each post-warmup epoch batch — fully
-/// allocation-free.
-#[derive(Default)]
-pub(crate) struct TrainScratch {
-    pub ws: BufferPool<Workspace>,
-    pub grads: BufferPool<Grads>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buffer_pool_recycles() {
-        let pool: BufferPool<Vec<u8>> = BufferPool::default();
-        let mut a = pool.take();
-        a.reserve(1024);
-        let cap = a.capacity();
-        pool.put(a);
-        let b = pool.take();
-        assert!(b.capacity() >= cap, "recycled buffer keeps its capacity");
-        let c = pool.take();
-        assert_eq!(c.capacity(), 0, "cold start default-constructs");
-    }
 
     #[test]
     fn workspace_ensure_layers_is_idempotent() {

@@ -1,17 +1,19 @@
-//! Steady-state allocation gate for the training hot path (feature
-//! `alloc-profile`): after one warmup pass has sized every pooled
-//! workspace, gradient buffer, and `Â·X` cache, further training epochs
-//! must allocate **zero bytes inside `exec.worker` spans** — the tiled
-//! write-into kernels recycle everything.
+//! Steady-state allocation gate for the training loop (feature
+//! `alloc-profile`): once one warmup call has sized the model's workspace
+//! and gradient set and filled every sample's `Â·X` cache, a training
+//! call allocates only its per-call bookkeeping — the shuffle order, the
+//! loss curve and a registry key — and nothing per gradient step.
 //!
-//! The assertion is sound because span allocation counters are
-//! per-thread: a worker span is charged only for bytes its own thread
-//! allocated while the span was live, so sibling workers and the
-//! coordinating thread cannot pollute it.
+//! The gate reads the `gnn.train` span's allocation counter. An 8-epoch
+//! call must allocate exactly six more loss-curve slots (6 × 8 B) than a
+//! 2-epoch call over the same samples, so a single byte allocated per
+//! step or per epoch fails it. The reading is sound because span
+//! allocation counters are per-thread: a span is charged only for bytes
+//! its own thread allocated while it was live, and training runs on the
+//! caller's thread.
 
 #![cfg(feature = "alloc-profile")]
 
-use m3d_exec::ExecPool;
 use m3d_gnn::{GcnConfig, GcnModel, Graph, GraphSample, Matrix, Task, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,8 +21,8 @@ use rand::{Rng, SeedableRng};
 #[global_allocator]
 static ALLOC: m3d_obs::alloc::CountingAllocator = m3d_obs::alloc::CountingAllocator::new();
 
-/// Uniform-sized samples so any pooled workspace fits any sample
-/// regardless of which worker processed which sample during warmup.
+/// Uniform-sized samples, so one warmup epoch sizes every buffer for all
+/// of them.
 fn samples(n: usize, nodes: usize, seed: u64) -> Vec<GraphSample> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -41,38 +43,38 @@ fn samples(n: usize, nodes: usize, seed: u64) -> Vec<GraphSample> {
         .collect()
 }
 
+/// Bytes the `gnn.train` span is charged for one `epochs`-epoch call.
+fn train_bytes(model: &mut GcnModel, data: &[GraphSample], epochs: usize) -> u64 {
+    const KEY: &str = "alloc.span.gnn.train.bytes";
+    let before = m3d_obs::snapshot().counter(KEY).unwrap_or(0);
+    model.train(
+        data,
+        &TrainConfig {
+            epochs,
+            ..TrainConfig::default()
+        },
+    );
+    m3d_obs::snapshot()
+        .counter(KEY)
+        .expect("training must have recorded its gnn.train span")
+        - before
+}
+
 #[test]
-fn steady_state_training_allocates_nothing_in_worker_spans() {
+fn steady_state_training_allocates_nothing_per_step() {
     let data = samples(16, 20, 42);
-    let pool = ExecPool::with_threads(2);
-    let cfg = TrainConfig {
-        epochs: 4,
-        batch_size: 8,
-        ..TrainConfig::default()
-    };
     let mut model = GcnModel::new(&GcnConfig::two_layer(6, Task::Graph));
 
-    // Deterministically size the workspace pool for both workers (the
-    // observed-concurrency high-water mark is racy otherwise), then one
-    // warmup pass sizes the gradient pool for the batch width, fills
-    // every sample's Â·X cache, and grows the exec pool's result buffers.
-    model.warm_scratch(&data[0], 2);
-    model.train_with_pool(&data, &cfg, &pool);
+    // Warmup: sizes the workspace (both ping-pong gradient buffers trade
+    // roles across the 16 steps), the gradient set and every Â·X cache.
+    train_bytes(&mut model, &data, 1);
 
-    let before = m3d_obs::snapshot()
-        .counter("alloc.span.exec.worker.bytes")
-        .expect("warmup must have recorded worker spans");
-
-    // Steady state: same model, same data — every buffer is recycled.
-    model.train_with_pool(&data, &cfg, &pool);
-
-    let after = m3d_obs::snapshot()
-        .counter("alloc.span.exec.worker.bytes")
-        .expect("steady-state run must have recorded worker spans");
+    let short = train_bytes(&mut model, &data, 2);
+    let long = train_bytes(&mut model, &data, 8);
     assert_eq!(
-        after - before,
-        0,
-        "steady-state gnn.train epochs allocated {} bytes inside exec.worker spans",
-        after - before
+        long.checked_sub(short),
+        Some(6 * 8),
+        "gnn.train charged {short} B at 2 epochs and {long} B at 8: \
+         only the 8-byte loss-curve slots may grow with the epoch count"
     );
 }

@@ -90,11 +90,12 @@ fn pipeline_is_thread_count_invariant() {
     }
 }
 
-/// The vectorized write-into kernels, the recycled workspaces, and the
+/// The vectorized write-into kernels, the recycled workspace, and the
 /// per-sample `Â·X` cache must be pure optimizations: training the same
 /// model on the same data gives byte-identical weights and loss curves
-/// whether it runs serially or on the default pool, and whether the
-/// `Â·X` cache starts cold or pre-warmed.
+/// whether it runs alone on the caller's thread or on pool workers beside
+/// another run over the same samples (the way restarts train), and
+/// whether the `Â·X` cache starts cold or pre-warmed.
 #[test]
 fn tiled_kernel_training_is_invariant_to_threads_and_cache_state() {
     use m3d_gnn::{GcnConfig, GcnModel, GraphSample, Matrix, Task, TrainConfig};
@@ -124,24 +125,29 @@ fn tiled_kernel_training_is_invariant_to_threads_and_cache_state() {
     let samples = make_samples(&mut rng);
     let cfg = TrainConfig {
         epochs: 6,
-        batch_size: 4,
         ..TrainConfig::default()
     };
     let model_cfg = GcnConfig::two_layer(5, Task::Graph);
 
     let mut reference = GcnModel::new(&model_cfg);
-    let ref_losses = reference.train_with_pool(&samples, &cfg, &ExecPool::with_threads(1));
+    let ref_losses = reference.train(&samples, &cfg);
+    let bits = |l: &[f64]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-    // Default thread count, fresh (cold-cache) samples.
+    // Two runs at once on pool workers over shared fresh samples: their
+    // first epochs race to fill each cold Â·X cache.
     let fresh: Vec<GraphSample> = samples
         .iter()
         .map(|s| GraphSample::new(s.adj.clone(), s.x.clone(), s.targets.clone()))
         .collect();
-    let mut parallel = GcnModel::new(&model_cfg);
-    let par_losses = parallel.train_with_pool(&fresh, &cfg, &ExecPool::default());
-    assert_eq!(parallel.save_text(), reference.save_text());
-    let bits = |l: &[f64]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&par_losses), bits(&ref_losses));
+    let runs = ExecPool::with_threads(2).map_indices(2, |_| {
+        let mut model = GcnModel::new(&model_cfg);
+        let losses = model.train(&fresh, &cfg);
+        (model.save_text(), bits(&losses))
+    });
+    for (weights, losses) in runs {
+        assert_eq!(weights, reference.save_text());
+        assert_eq!(losses, bits(&ref_losses));
+    }
 
     // Pre-warmed Â·X cache.
     let warm: Vec<GraphSample> = samples
@@ -152,7 +158,7 @@ fn tiled_kernel_training_is_invariant_to_threads_and_cache_state() {
         let _ = s.ax1();
     }
     let mut warmed = GcnModel::new(&model_cfg);
-    let warm_losses = warmed.train_with_pool(&warm, &cfg, &ExecPool::default());
+    let warm_losses = warmed.train(&warm, &cfg);
     assert_eq!(warmed.save_text(), reference.save_text());
     assert_eq!(bits(&warm_losses), bits(&ref_losses));
 }
@@ -190,7 +196,6 @@ fn training_is_invariant_to_simd_backend() {
         .collect();
     let cfg = TrainConfig {
         epochs: 4,
-        batch_size: 4,
         ..TrainConfig::default()
     };
     let model_cfg = GcnConfig::two_layer(6, Task::Graph);
@@ -198,7 +203,7 @@ fn training_is_invariant_to_simd_backend() {
     let run = |mode: SimdMode| {
         force_simd_mode(Some(mode));
         let mut model = GcnModel::new(&model_cfg);
-        let losses = model.train_with_pool(&samples, &cfg, &ExecPool::with_threads(1));
+        let losses = model.train(&samples, &cfg);
         let logits: Vec<Vec<u32>> = samples
             .iter()
             .map(|s| {
