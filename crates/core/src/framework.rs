@@ -9,7 +9,8 @@ use crate::dataset::{DesignContext, Sample};
 use crate::design::TestBench;
 use crate::error::Error;
 use crate::models::{
-    miv_training_set, tier_training_set, MivPinpointer, ModelTrainConfig, TierPredictor,
+    miv_training_set, tier_training_set, train_tier_and_miv, MivPinpointer, ModelTrainConfig,
+    TierPredictor,
 };
 use crate::policy::{apply_policy, PolicyConfig, PolicyOutcome};
 use m3d_diagnosis::{AtpgDiagnosis, DiagnosisReport};
@@ -157,9 +158,9 @@ pub struct Framework {
 }
 
 impl Framework {
-    /// Trains Tier-predictor, MIV-pinpointer, derives `T_P` from the
-    /// training PR curve, and (optionally) trains the Classifier, running
-    /// every parallelizable stage on `pool`.
+    /// Trains Tier-predictor and MIV-pinpointer (all restarts of both in
+    /// one dispatch on `pool`), derives `T_P` from the Tier-predictor's
+    /// training PR curve, and (optionally) trains the Classifier.
     ///
     /// # Errors
     ///
@@ -179,7 +180,9 @@ impl Framework {
             ts.miv_samples.len(),
             ts.labelled_subgraphs.len()
         );
-        let tier = TierPredictor::train_with_pool(&ts.tier_samples, &cfg.model, pool);
+        let miv_samples =
+            (!ts.miv_samples.is_empty() && cfg.use_miv).then_some(&ts.miv_samples[..]);
+        let (tier, miv) = train_tier_and_miv(&ts.tier_samples, miv_samples, &cfg.model, pool);
         let curve = PrCurve::from_samples(&tier.confidence_scores(&ts.tier_samples));
         let (t_p, t_p_fallback) = match curve.min_threshold_for_precision(cfg.precision_target) {
             Some(t) => (t, false),
@@ -192,8 +195,6 @@ impl Framework {
                 (1.0, true)
             }
         };
-        let miv = (!ts.miv_samples.is_empty() && cfg.use_miv)
-            .then(|| MivPinpointer::train_with_pool(&ts.miv_samples, &cfg.model, pool));
         let classifier = cfg
             .use_classifier
             .then(|| PruneClassifier::train(&tier, &ts.labelled_subgraphs, t_p))

@@ -21,7 +21,8 @@ pub struct ModelTrainConfig {
     /// Independent restarts; the run with the best training accuracy wins
     /// (single-sample Adam on small graph datasets is seed-sensitive).
     /// Restarts train concurrently when the driving pool has spare
-    /// threads — the winner is identical either way.
+    /// threads (the framework dispatches both models' restarts at once) —
+    /// the winner is identical either way.
     pub restarts: usize,
 }
 
@@ -36,59 +37,93 @@ impl Default for ModelTrainConfig {
     }
 }
 
-fn best_of_restarts(
-    samples: &[GraphSample],
-    cfg: &ModelTrainConfig,
+/// One model for [`best_of_restarts`] to train.
+struct ModelSpec<'a> {
+    samples: &'a [GraphSample],
     task: Task,
     n_classes: usize,
-    class_weights: Option<Vec<f32>>,
-    curve_label: &str,
+    class_weights: Vec<f32>,
+    curve_label: &'static str,
+}
+
+/// Trains every spec's model `cfg.restarts` times and keeps, per spec, the
+/// restart with the best training accuracy.
+///
+/// All `specs × restarts` jobs are fully independent, so they run in one
+/// pool dispatch, the first spec's jobs first; each trains start to
+/// finish on one worker. `map_indices` returns in job order, so each
+/// model's best-accuracy tie-break (first wins) follows that model's
+/// restart order, as a serial loop's would.
+fn best_of_restarts(
+    specs: &[ModelSpec<'_>],
+    cfg: &ModelTrainConfig,
     pool: &ExecPool,
-) -> GcnModel {
+) -> Vec<GcnModel> {
     let restarts = cfg.restarts.max(1);
-    // Restarts are fully independent, so they fan out across the pool;
-    // each trains start to finish on one worker. `map_indices` returns in
-    // restart order, so the best-accuracy tie-break (first wins) matches
-    // a serial loop.
-    let runs = pool.map_indices(restarts, |r| {
+    let runs = pool.map_indices(specs.len() * restarts, |job| {
+        let (spec, r) = (&specs[job / restarts], job % restarts);
         let seed = cfg.seed.wrapping_add(0x9E37 * r as u64);
         let mut model = GcnModel::new(&GcnConfig {
             input_dim: N_FEATURES,
             hidden: cfg.hidden.clone(),
             head_hidden: None,
-            n_classes,
-            task,
+            n_classes: spec.n_classes,
+            task: spec.task,
             seed,
         });
         // Restart 0 keeps the bare label so the primary curve has a
         // stable name; later restarts get a `/r{n}` suffix.
         let label = if r == 0 {
-            curve_label.to_string()
+            spec.curve_label.to_string()
         } else {
-            format!("{curve_label}/r{r}")
+            format!("{}/r{r}", spec.curve_label)
         };
         model.train(
-            samples,
+            spec.samples,
             &TrainConfig {
                 epochs: cfg.epochs,
                 seed: seed ^ 0xA5A5,
-                class_weights: class_weights.clone(),
+                class_weights: Some(spec.class_weights.clone()),
                 label: Some(label),
             },
         );
-        let acc = match &class_weights {
-            Some(w) => weighted_accuracy(&model, samples, w),
-            None => model.accuracy(samples),
-        };
+        let acc = weighted_accuracy(&model, spec.samples, &spec.class_weights);
         (acc, model)
     });
-    let mut best: Option<(f64, GcnModel)> = None;
-    for (acc, model) in runs {
-        if best.as_ref().is_none_or(|(b, _)| acc > *b) {
-            best = Some((acc, model));
+    let mut runs = runs.into_iter();
+    let mut models = Vec::with_capacity(specs.len());
+    for _ in specs {
+        let mut best: Option<(f64, GcnModel)> = None;
+        for (acc, model) in runs.by_ref().take(restarts) {
+            if best.as_ref().is_none_or(|(b, _)| acc > *b) {
+                best = Some((acc, model));
+            }
         }
+        models.push(best.expect("restarts >= 1").1);
     }
-    best.expect("restarts >= 1").1
+    models
+}
+
+/// Trains the Tier-predictor and, when `miv_samples` is given, the
+/// MIV-pinpointer: both models' restarts share one dispatch on `pool`.
+/// Each model is the one its own `train_with_pool` would return.
+///
+/// # Panics
+///
+/// Panics if `tier_samples` or a given `miv_samples` is empty.
+pub(crate) fn train_tier_and_miv(
+    tier_samples: &[GraphSample],
+    miv_samples: Option<&[GraphSample]>,
+    cfg: &ModelTrainConfig,
+    pool: &ExecPool,
+) -> (TierPredictor, Option<MivPinpointer>) {
+    let mut specs = vec![TierPredictor::spec(tier_samples, 2)];
+    specs.extend(miv_samples.map(MivPinpointer::spec));
+    let mut models = best_of_restarts(&specs, cfg, pool).into_iter();
+    let tier = TierPredictor {
+        model: models.next().expect("one model per spec"),
+    };
+    (tier, models.next().map(|model| MivPinpointer { model }))
 }
 
 /// Class-weight-adjusted accuracy, so restart selection cannot favour a
@@ -178,6 +213,14 @@ impl TierPredictor {
         cfg: &ModelTrainConfig,
         pool: &ExecPool,
     ) -> Self {
+        let mut models = best_of_restarts(&[Self::spec(samples, n_tiers)], cfg, pool);
+        TierPredictor {
+            model: models.pop().expect("one model per spec"),
+        }
+    }
+
+    /// The training spec of an `n_tiers`-way Tier-predictor.
+    fn spec(samples: &[GraphSample], n_tiers: usize) -> ModelSpec<'_> {
         assert!(!samples.is_empty(), "need training samples");
         assert!(n_tiers >= 2, "need at least two tiers");
         // Balanced class weights: tier labels skew toward the bottom tier
@@ -194,16 +237,13 @@ impl TierPredictor {
             .iter()
             .map(|&c| if c > 0.0 { total / (k * c) } else { 1.0 })
             .collect();
-        let model = best_of_restarts(
+        ModelSpec {
             samples,
-            cfg,
-            Task::Graph,
-            n_tiers,
-            Some(weights),
-            "tier-predictor",
-            pool,
-        );
-        TierPredictor { model }
+            task: Task::Graph,
+            n_classes: n_tiers,
+            class_weights: weights,
+            curve_label: "tier-predictor",
+        }
     }
 
     /// Number of tiers the model classifies.
@@ -308,6 +348,15 @@ impl MivPinpointer {
         cfg: &ModelTrainConfig,
         pool: &ExecPool,
     ) -> Self {
+        let mut models = best_of_restarts(&[Self::spec(samples)], cfg, pool);
+        MivPinpointer {
+            model: models.pop().expect("one model per spec"),
+        }
+    }
+
+    /// The MIV-pinpointer's training spec: the positive class weight is
+    /// the negative-to-positive label ratio, clamped to `1..=10`.
+    fn spec(samples: &[GraphSample]) -> ModelSpec<'_> {
         assert!(!samples.is_empty(), "need training samples");
         let mut pos = 0f32;
         let mut neg = 0f32;
@@ -325,16 +374,13 @@ impl MivPinpointer {
         } else {
             1.0
         };
-        let model = best_of_restarts(
+        ModelSpec {
             samples,
-            cfg,
-            Task::Node,
-            2,
-            Some(vec![1.0, w_pos]),
-            "miv-pinpointer",
-            pool,
-        );
-        MivPinpointer { model }
+            task: Task::Node,
+            n_classes: 2,
+            class_weights: vec![1.0, w_pos],
+            curve_label: "miv-pinpointer",
+        }
     }
 
     /// Serializes the trained model to the `m3d-gnn-model v1` text format.

@@ -16,7 +16,7 @@ use crate::graph::NormAdj;
 use crate::layers::{relu_backward, GcnLayer, Linear};
 use crate::loss::{argmax, cross_entropy, cross_entropy_into, softmax_row};
 use crate::matrix::Matrix;
-use crate::workspace::{Grads, Workspace};
+use crate::workspace::{Grads, HeadWorkspace, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -157,10 +157,6 @@ pub struct GcnModel {
     head: Vec<Linear>,
     frozen_gcn: usize,
     states: ParamStates,
-    /// The training hot path's buffers, kept across [`GcnModel::train`]
-    /// calls so that steady-state epochs allocate nothing.
-    ws: Workspace,
-    grads: Grads,
 }
 
 struct Forward {
@@ -412,16 +408,20 @@ impl GcnModel {
 
     /// The fused training hot path: loss and parameter gradients for one
     /// sample computed entirely on the vectorized `*_into` kernels (with
-    /// bias/ReLU epilogues fused into the matmul tiles) against
-    /// caller-owned buffers — zero heap allocation once `ws`/`out` reach
-    /// steady-state capacity.
+    /// bias/ReLU epilogues fused into the matmul tiles) against the
+    /// buffers [`GcnModel::train`] sized for this model — zero heap
+    /// allocation once `ws`/`out` reach steady-state capacity.
     ///
     /// Bit-identical to [`GcnModel::compute_grads`] by construction: every
     /// kernel preserves the canonical per-element accumulation order, the
     /// layer-1 aggregation comes from the sample's [`GraphSample::ax1`]
-    /// cache (the same value the reference recomputes), and the one
-    /// intentional divergence — skipping the never-consumed input gradient
-    /// of GCN layer 0 — cannot affect any output.
+    /// cache (the same value the reference recomputes), and the backward
+    /// pass stops at the lowest trainable layer: it computes no gradient
+    /// for a frozen layer (which [`GcnModel::apply_grads`] skips) and no
+    /// input gradient for the lowest trainable layer (which nothing
+    /// consumes), so what it skips cannot affect any output. A model
+    /// whose every GCN layer is frozen trains on [`GcnModel::head_pass`]
+    /// alone instead.
     fn compute_grads_into(
         &self,
         sample: &GraphSample,
@@ -429,13 +429,66 @@ impl GcnModel {
         ws: &mut Workspace,
         out: &mut Grads,
     ) -> f64 {
-        let (n_gcn, n_head) = (self.gcn.len(), self.head.len());
-        ws.ensure_layers(n_gcn, n_head);
-        out.ensure_layers(n_gcn, n_head);
+        let n_gcn = self.gcn.len();
+        let floor = self.frozen_gcn;
+        let (head_input, head_ws) = self.trunk_forward_into(sample, ws);
+        let loss = self.head_pass(
+            head_input,
+            &sample.targets,
+            class_weights,
+            head_ws,
+            &mut out.head,
+            true,
+        );
+        let g = &mut ws.head;
 
-        // --- GCN forward: layer 0 consumes the cached Â·x; bias and ReLU
-        // are fused into the matmul epilogue (one pass over z instead of
-        // three).
+        // --- Pool backward (graph task): mean half distributes uniformly,
+        // max half routes to each feature's winning row.
+        if matches!(self.task, Task::Graph) {
+            let hk_rows = ws.h[n_gcn - 1].rows();
+            let n = hk_rows.max(1);
+            let dd = g.dcur.cols() / 2;
+            g.dnxt.reset(hk_rows, dd);
+            for r in 0..hk_rows {
+                for (c, o) in g.dnxt.row_mut(r).iter_mut().enumerate() {
+                    *o = g.dcur.get(0, c) / n as f32;
+                }
+            }
+            for c in 0..dd {
+                let win = ws.max_arg[c];
+                let cur = g.dnxt.get(win, c);
+                g.dnxt.set(win, c, cur + g.dcur.get(0, dd + c));
+            }
+            std::mem::swap(&mut g.dcur, &mut g.dnxt);
+        }
+
+        // --- GCN backward, from the top layer down to the lowest
+        // trainable one; only the layers above it need an input gradient.
+        for l in (floor..n_gcn).rev() {
+            relu_backward(&mut g.dcur, &ws.pre[l]);
+            let ax = if l == 0 { sample.ax1() } else { &ws.ax[l] };
+            let (gw, gb) = &mut out.gcn[l];
+            let dx = (l > floor).then_some((&mut ws.dax, &mut g.dnxt));
+            self.gcn[l].backward_into(&sample.adj, ax, &g.dcur, gw, gb, dx);
+            if l > floor {
+                std::mem::swap(&mut g.dcur, &mut g.dnxt);
+            }
+        }
+
+        loss
+    }
+
+    /// The GCN forward pass and readout of one sample on the fused
+    /// kernels (layer 0 consumes the cached `Â·x`; bias and ReLU are fused
+    /// into the matmul epilogue). Returns the head's input — the mean ‖
+    /// max readout (graph task) or the last layer's activations (node
+    /// task) — beside the head's buffers, which stay free to write.
+    fn trunk_forward_into<'w>(
+        &self,
+        sample: &GraphSample,
+        ws: &'w mut Workspace,
+    ) -> (&'w Matrix, &'w mut HeadWorkspace) {
+        let n_gcn = self.gcn.len();
         for (l, layer) in self.gcn.iter().enumerate() {
             if l == 0 {
                 layer.forward_from_ax_relu_into(sample.ax1(), &mut ws.pre[0], &mut ws.h[0]);
@@ -451,102 +504,70 @@ impl GcnModel {
                 );
             }
         }
-
-        // --- Readout.
-        let hk_rows = ws.h[n_gcn - 1].rows();
-        match self.task {
+        let hk = &ws.h[n_gcn - 1];
+        let head_input = match self.task {
             Task::Graph => {
-                let hk = &ws.h[n_gcn - 1];
                 hk.mean_rows_into(&mut ws.mean);
                 hk.max_rows_into(&mut ws.mx, &mut ws.max_arg);
                 let d = ws.mean.cols();
                 ws.pooled.reset(1, 2 * d);
                 ws.pooled.row_mut(0)[..d].copy_from_slice(ws.mean.row(0));
                 ws.pooled.row_mut(0)[d..].copy_from_slice(ws.mx.row(0));
+                &ws.pooled
             }
-            Task::Node => {}
-        }
-        let head_input: &Matrix = match self.task {
-            Task::Graph => &ws.pooled,
-            Task::Node => &ws.h[n_gcn - 1],
+            Task::Node => hk,
         };
+        (head_input, &mut ws.head)
+    }
 
-        // --- Head forward (last layer's pre-activation is the logits);
-        // hidden layers fuse the ReLU into the matmul epilogue.
+    /// The dense head's forward pass, loss and backward pass on one
+    /// sample's head input: writes each head layer's `(dW, db)` into
+    /// `grads` and returns the loss. With `input_grad`, `hw.dcur` ends
+    /// up holding the gradient of `input`; without it, head layer 0
+    /// computes no input gradient. Hidden layers fuse the ReLU into the
+    /// matmul epilogue; the last layer's pre-activation is the logits.
+    fn head_pass(
+        &self,
+        input: &Matrix,
+        targets: &[(usize, usize)],
+        class_weights: Option<&[f32]>,
+        hw: &mut HeadWorkspace,
+        grads: &mut [(Matrix, Vec<f32>)],
+        input_grad: bool,
+    ) -> f64 {
+        let n_head = self.head.len();
         for (i, layer) in self.head.iter().enumerate() {
             if i + 1 < n_head {
-                let (h_read, h_write) = ws.head_h.split_at_mut(i);
-                let input = if i == 0 { head_input } else { &h_read[i - 1] };
-                layer.forward_relu_into(input, &mut ws.head_pre[i], &mut h_write[0]);
+                let (h_read, h_write) = hw.h.split_at_mut(i);
+                let x = if i == 0 { input } else { &h_read[i - 1] };
+                layer.forward_relu_into(x, &mut hw.pre[i], &mut h_write[0]);
             } else {
-                let input = if i == 0 {
-                    head_input
-                } else {
-                    &ws.head_h[i - 1]
-                };
-                layer.forward_into(input, &mut ws.head_pre[i]);
+                let x = if i == 0 { input } else { &hw.h[i - 1] };
+                layer.forward_into(x, &mut hw.pre[i]);
             }
         }
 
         let loss = cross_entropy_into(
-            &ws.head_pre[n_head - 1],
-            &sample.targets,
+            &hw.pre[n_head - 1],
+            targets,
             class_weights,
-            &mut ws.dcur,
-            &mut ws.softmax,
+            &mut hw.dcur,
+            &mut hw.softmax,
         );
 
-        // --- Head backward.
         for i in (0..n_head).rev() {
             if i + 1 < n_head {
-                relu_backward(&mut ws.dcur, &ws.head_pre[i]);
+                relu_backward(&mut hw.dcur, &hw.pre[i]);
             }
-            let input = if i == 0 {
-                head_input
-            } else {
-                &ws.head_h[i - 1]
-            };
-            let (gw, gb) = &mut out.head[i];
-            self.head[i].backward_into(input, &ws.dcur, gw, gb, Some(&mut ws.dnxt));
-            std::mem::swap(&mut ws.dcur, &mut ws.dnxt);
-        }
-
-        // --- Pool backward (graph task): mean half distributes uniformly,
-        // max half routes to each feature's winning row.
-        if matches!(self.task, Task::Graph) {
-            let n = hk_rows.max(1);
-            let dd = ws.dcur.cols() / 2;
-            ws.dnxt.reset(hk_rows, dd);
-            for r in 0..hk_rows {
-                for (c, o) in ws.dnxt.row_mut(r).iter_mut().enumerate() {
-                    *o = ws.dcur.get(0, c) / n as f32;
-                }
-            }
-            for c in 0..dd {
-                let win = ws.max_arg[c];
-                let cur = ws.dnxt.get(win, c);
-                ws.dnxt.set(win, c, cur + ws.dcur.get(0, dd + c));
-            }
-            std::mem::swap(&mut ws.dcur, &mut ws.dnxt);
-        }
-
-        // --- GCN backward. Layer 0's input gradient is never consumed, so
-        // (unlike the reference) it is not computed.
-        for l in (0..n_gcn).rev() {
-            relu_backward(&mut ws.dcur, &ws.pre[l]);
-            let ax = if l == 0 { sample.ax1() } else { &ws.ax[l] };
-            let (gw, gb) = &mut out.gcn[l];
-            let dx = if l > 0 {
-                Some((&mut ws.dax, &mut ws.dnxt))
-            } else {
-                None
-            };
-            self.gcn[l].backward_into(&sample.adj, ax, &ws.dcur, gw, gb, dx);
-            if l > 0 {
-                std::mem::swap(&mut ws.dcur, &mut ws.dnxt);
+            let x = if i == 0 { input } else { &hw.h[i - 1] };
+            let (gw, gb) = &mut grads[i];
+            let wants_dx = i > 0 || input_grad;
+            let dx = wants_dx.then_some(&mut hw.dnxt);
+            self.head[i].backward_into(x, &hw.dcur, gw, gb, dx);
+            if wants_dx {
+                std::mem::swap(&mut hw.dcur, &mut hw.dnxt);
             }
         }
-
         loss
     }
 
@@ -578,27 +599,52 @@ impl GcnModel {
     /// shuffle order and takes one Adam step per sample, on the fused
     /// gradient path.
     ///
+    /// When every GCN layer is frozen (a [`GcnModel::transfer`]), the
+    /// trunk's weights cannot change during the call, so each sample's
+    /// head input is computed once, up front, and each step runs only the
+    /// head: the same bits in the same order as a full pass.
+    ///
     /// Training runs on the caller's thread, so the weights and the loss
     /// curve depend only on the model, `samples` and `cfg` — never on a
     /// thread count (callers run independent models in parallel, e.g.
-    /// restarts; see DESIGN.md "Threading model").
+    /// restarts; see DESIGN.md "Threading model"). The training buffers
+    /// live for this call only.
     pub fn train(&mut self, samples: &[GraphSample], cfg: &TrainConfig) -> Vec<f64> {
         let _span = m3d_obs::span!("gnn.train");
         let flops_start = crate::kernels::kernel_flops();
+        let (n_gcn, n_head) = (self.gcn.len(), self.head.len());
+        let mut ws = Workspace::default();
+        let mut grads = Grads::default();
+        ws.ensure_layers(n_gcn, n_head);
+        grads.ensure_layers(n_gcn, n_head);
+        // Computed once per call (frozen weights cannot change within
+        // it) and indexed by sample, not by shuffle position.
+        let frozen_head_inputs: Option<Vec<Matrix>> = (self.frozen_gcn == n_gcn).then(|| {
+            samples
+                .iter()
+                .map(|s| self.trunk_forward_into(s, &mut ws).0.clone())
+                .collect()
+        });
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let weights = cfg.class_weights.as_deref();
-        // Moved out for the call: the gradient pass borrows the model
-        // while it writes them.
-        let mut ws = std::mem::take(&mut self.ws);
-        let mut grads = std::mem::take(&mut self.grads);
         let mut losses = Vec::with_capacity(cfg.epochs);
         for epoch in 0..cfg.epochs {
             let t0 = std::time::Instant::now();
             order.shuffle(&mut rng);
             let mut total = 0.0;
             for &i in &order {
-                total += self.compute_grads_into(&samples[i], weights, &mut ws, &mut grads);
+                total += match &frozen_head_inputs {
+                    Some(inputs) => self.head_pass(
+                        &inputs[i],
+                        &samples[i].targets,
+                        weights,
+                        &mut ws.head,
+                        &mut grads.head,
+                        false,
+                    ),
+                    None => self.compute_grads_into(&samples[i], weights, &mut ws, &mut grads),
+                };
                 self.apply_grads(&grads);
             }
             let loss = total / samples.len().max(1) as f64;
@@ -608,8 +654,6 @@ impl GcnModel {
                 m3d_obs::trace!("{label} epoch {epoch}: loss {loss:.6}");
             }
         }
-        self.ws = ws;
-        self.grads = grads;
         // Kernel work attributable to this training run (obsctl derives
         // effective GFLOP/s from this counter over the gnn.train span).
         let flops = crate::kernels::kernel_flops() - flops_start;
@@ -645,23 +689,12 @@ impl GcnModel {
         Self::from_parts(Task::Graph, gcn, head, frozen_gcn)
     }
 
-    /// Freezes the first `k` GCN layers (their weights stop updating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > gcn_layer_count()`.
-    pub fn freeze_gcn_layers(&mut self, k: usize) {
-        assert!(k <= self.gcn.len());
-        self.frozen_gcn = k;
-    }
-
     /// Layer views for serialization.
     pub(crate) fn layers_for_serialization(&self) -> (&[GcnLayer], &[Linear]) {
         (&self.gcn, &self.head)
     }
 
-    /// Assembles a model from its layers with fresh optimizer state (and
-    /// empty training buffers).
+    /// Assembles a model from its layers with fresh optimizer state.
     pub(crate) fn from_parts(
         task: Task,
         gcn: Vec<GcnLayer>,
@@ -675,8 +708,6 @@ impl GcnModel {
             head,
             frozen_gcn,
             states,
-            ws: Workspace::default(),
-            grads: Grads::default(),
         }
     }
 }
@@ -840,41 +871,64 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_matches_legacy_per_sample_path() {
-        // `train` (fused gradient pass, one Adam step per sample) must be
-        // bitwise identical to stepping the reference `train_sample` in
-        // the same shuffle order.
+    fn train_matches_reference_per_sample_path() {
+        // `train` must be bitwise identical to stepping the reference
+        // `train_sample` in the same shuffle order: on a fresh model
+        // through the fused gradient pass, on one with its first GCN layer
+        // frozen through the pass that stops above it, and on a
+        // transferred one (fully frozen trunk, hidden ReLU layer in the
+        // head) through the head-only steps over head inputs computed once
+        // per call.
         let data = toy_dataset(12, 14);
+        let cfg = TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        };
         let logits = |m: &GcnModel| -> Vec<Vec<f32>> {
             data.iter()
                 .map(|s| m.logits(&s.adj, &s.x).as_slice().to_vec())
                 .collect()
         };
-        let fused = {
-            let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-            let cfg = TrainConfig {
-                epochs: 2,
-                ..TrainConfig::default()
+        let fresh = || GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
+        let partly_frozen = || {
+            let text = fresh().save_text().replace("frozen 0", "frozen 1");
+            let m = GcnModel::load_text(&text).expect("a valid model");
+            assert_eq!(m.frozen_layer_count(), 1);
+            m
+        };
+        let transferred = || {
+            let mut base = fresh();
+            base.train(&data, &cfg);
+            base.transfer(2, Some(8), 77)
+        };
+        let models: [(&str, &dyn Fn() -> GcnModel); 3] = [
+            ("fresh", &fresh),
+            ("partly frozen", &partly_frozen),
+            ("transferred", &transferred),
+        ];
+        for (name, make) in models {
+            let fused = {
+                let mut m = make();
+                let losses = m.train(&data, &cfg);
+                (losses, logits(&m))
             };
-            let losses = m.train(&data, &cfg);
-            (losses, logits(&m))
-        };
-        let legacy = {
-            let mut m = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-            let mut rng = StdRng::seed_from_u64(TrainConfig::default().seed);
-            let mut order: Vec<usize> = (0..data.len()).collect();
-            let mut losses = Vec::new();
-            for _ in 0..2 {
-                order.shuffle(&mut rng);
-                let mut total = 0.0;
-                for &i in &order {
-                    total += m.train_sample(&data[i], None);
+            let reference = {
+                let mut m = make();
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                let mut order: Vec<usize> = (0..data.len()).collect();
+                let mut losses = Vec::new();
+                for _ in 0..cfg.epochs {
+                    order.shuffle(&mut rng);
+                    let mut total = 0.0;
+                    for &i in &order {
+                        total += m.train_sample(&data[i], None);
+                    }
+                    losses.push(total / data.len() as f64);
                 }
-                losses.push(total / data.len() as f64);
-            }
-            (losses, logits(&m))
-        };
-        assert_eq!(fused, legacy);
+                (losses, logits(&m))
+            };
+            assert_eq!(fused, reference, "{name} model");
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Reusable training buffers: the memory model behind the zero-allocation
-//! steady state of [`GcnModel::train`](crate::GcnModel::train).
+//! Training buffers: the memory model behind the allocation-free
+//! gradient steps of [`GcnModel::train`](crate::GcnModel::train).
 //!
 //! A [`Workspace`] owns every intermediate a fused forward+backward pass
 //! needs — activations, pre-activations, pooled readouts, ping-pong
 //! gradient buffers, matmul scratch. All buffers are plain [`Matrix`]
 //! values resized with [`Matrix::reset`], which keeps the backing
-//! allocation; after one warmup pass over the largest sample, no further
+//! allocation; once the buffers have held the largest sample, no further
 //! heap traffic occurs (asserted by the `alloc_steady_state` integration
-//! test under the `alloc-profile` feature). A model keeps one workspace
-//! and one [`Grads`] across training calls.
+//! test under the `alloc-profile` feature). A workspace and a [`Grads`]
+//! live for one training call: a trained model carries no buffers.
 
 use crate::matrix::Matrix;
 
@@ -51,18 +51,28 @@ pub(crate) struct Workspace {
     pub max_arg: Vec<usize>,
     /// Concatenated mean ‖ max readout (head input, graph task).
     pub pooled: Matrix,
+    /// `dz Wᵀ` scratch of the GCN input-gradient.
+    pub dax: Matrix,
+    /// The dense head's buffers, apart from the trunk's so that the head
+    /// pass can read a trunk buffer while it writes these.
+    pub head: HeadWorkspace,
+}
+
+/// The dense head's buffers, plus the ping-pong gradient pair that the
+/// trunk's backward pass continues from.
+#[derive(Default)]
+pub(crate) struct HeadWorkspace {
     /// Head pre-activations per head layer (last slot holds the logits).
-    pub head_pre: Vec<Matrix>,
+    pub pre: Vec<Matrix>,
     /// Post-ReLU head activations (all but the last layer).
-    pub head_h: Vec<Matrix>,
+    pub h: Vec<Matrix>,
     /// Per-row softmax scratch of the loss.
     pub softmax: Vec<f32>,
-    /// Ping-pong upstream-gradient buffer (current).
+    /// Ping-pong upstream-gradient buffer (current). After a head pass
+    /// that asks for it, it holds the gradient of the head's input.
     pub dcur: Matrix,
     /// Ping-pong upstream-gradient buffer (next).
     pub dnxt: Matrix,
-    /// `dz Wᵀ` scratch of the GCN input-gradient.
-    pub dax: Matrix,
 }
 
 impl Workspace {
@@ -72,8 +82,8 @@ impl Workspace {
         self.ax.resize_with(gcn, Default::default);
         self.pre.resize_with(gcn, Default::default);
         self.h.resize_with(gcn, Default::default);
-        self.head_pre.resize_with(head, Default::default);
-        self.head_h.resize_with(head, Default::default);
+        self.head.pre.resize_with(head, Default::default);
+        self.head.h.resize_with(head, Default::default);
     }
 }
 
@@ -85,7 +95,7 @@ mod tests {
     fn workspace_ensure_layers_is_idempotent() {
         let mut ws = Workspace::default();
         ws.ensure_layers(3, 2);
-        assert_eq!((ws.ax.len(), ws.head_pre.len()), (3, 2));
+        assert_eq!((ws.ax.len(), ws.head.pre.len()), (3, 2));
         ws.h[2].reset(4, 4);
         ws.ensure_layers(3, 2);
         assert_eq!(

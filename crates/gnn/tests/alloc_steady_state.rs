@@ -1,16 +1,19 @@
 //! Steady-state allocation gate for the training loop (feature
-//! `alloc-profile`): once one warmup call has sized the model's workspace
-//! and gradient set and filled every sample's `Â·X` cache, a training
-//! call allocates only its per-call bookkeeping — the shuffle order, the
-//! loss curve and a registry key — and nothing per gradient step.
+//! `alloc-profile`): once one warmup call has filled every sample's `Â·X`
+//! cache, a training call allocates only its per-call bookkeeping — its
+//! workspace and gradient set, a transferred model's once-per-call head
+//! inputs, the shuffle order, the loss curve and a registry key — and
+//! nothing per gradient step.
 //!
-//! The gate reads the `gnn.train` span's allocation counter. An 8-epoch
-//! call must allocate exactly six more loss-curve slots (6 × 8 B) than a
-//! 2-epoch call over the same samples, so a single byte allocated per
-//! step or per epoch fails it. The reading is sound because span
-//! allocation counters are per-thread: a span is charged only for bytes
-//! its own thread allocated while it was live, and training runs on the
-//! caller's thread.
+//! The gate reads the `gnn.train` span's allocation counter, for a fresh
+//! model (full gradient pass) and a transferred one (frozen trunk,
+//! head-only steps). An 8-epoch call must allocate exactly six more
+//! loss-curve slots (6 × 8 B) than a 2-epoch call over the same samples,
+//! so a single byte allocated per step or per epoch fails it. Buffer
+//! sizing happens in each call's first epoch, so it is charged equally to
+//! both calls. The reading is sound because span allocation counters are
+//! per-thread: a span is charged only for bytes its own thread allocated
+//! while it was live, and training runs on the caller's thread.
 
 #![cfg(feature = "alloc-profile")]
 
@@ -60,21 +63,29 @@ fn train_bytes(model: &mut GcnModel, data: &[GraphSample], epochs: usize) -> u64
         - before
 }
 
+/// Asserts that an 8-epoch call costs exactly six loss-curve slots more
+/// than a 2-epoch call.
+fn assert_only_epoch_slots_grow(name: &str, model: &mut GcnModel, data: &[GraphSample]) {
+    let short = train_bytes(model, data, 2);
+    let long = train_bytes(model, data, 8);
+    assert_eq!(
+        long.checked_sub(short),
+        Some(6 * 8),
+        "{name} model: gnn.train charged {short} B at 2 epochs and {long} B \
+         at 8: only the 8-byte loss-curve slots may grow with the epoch count"
+    );
+}
+
 #[test]
 fn steady_state_training_allocates_nothing_per_step() {
     let data = samples(16, 20, 42);
     let mut model = GcnModel::new(&GcnConfig::two_layer(6, Task::Graph));
-
-    // Warmup: sizes the workspace (both ping-pong gradient buffers trade
-    // roles across the 16 steps), the gradient set and every Â·X cache.
+    // Warmup: fills every Â·X cache.
     train_bytes(&mut model, &data, 1);
+    assert_only_epoch_slots_grow("fresh", &mut model, &data);
 
-    let short = train_bytes(&mut model, &data, 2);
-    let long = train_bytes(&mut model, &data, 8);
-    assert_eq!(
-        long.checked_sub(short),
-        Some(6 * 8),
-        "gnn.train charged {short} B at 2 epochs and {long} B at 8: \
-         only the 8-byte loss-curve slots may grow with the epoch count"
-    );
+    // Frozen trunk, head with a hidden ReLU layer.
+    let mut transferred = model.transfer(2, Some(8), 7);
+    train_bytes(&mut transferred, &data, 1);
+    assert_only_epoch_slots_grow("transferred", &mut transferred, &data);
 }

@@ -3,10 +3,11 @@
 //! The exec pool's determinism contract (fixed-order reduction, input-order
 //! result merge) promises bit-identical models and predictions at any
 //! thread count. These tests hold the whole stack to that promise: dataset
-//! generation, Tier-predictor / MIV-pinpointer training through
-//! [`PipelineBuilder`], the PR-curve threshold `T_P`, and per-case tier
-//! predictions must all agree bitwise between a serial run and 2/4-thread
-//! runs.
+//! generation, Tier-predictor / MIV-pinpointer training (both models'
+//! restarts in one dispatch) through [`PipelineBuilder`], the PR-curve
+//! threshold `T_P`, the Classifier trained on the frozen Tier trunk, and
+//! per-case tier predictions must all agree bitwise between a serial run
+//! and 2/4-thread runs.
 
 use m3d_exec::ExecPool;
 use m3d_fault_loc::{
@@ -34,8 +35,13 @@ fn samples_with(ctx: &DesignContext<'_>, threads: usize) -> Vec<Sample> {
 }
 
 fn train_with(ts: &TrainingSet, threads: usize) -> Framework {
+    // This small training set's PR curve reaches 0.6 precision only at
+    // the empty threshold 1.0, where no sample reaches the Classifier. At
+    // 0.5, T_P is 0 and every sample does, so the Classifier's
+    // frozen-trunk training is held to the contract too.
     PipelineBuilder::new()
         .threads(threads)
+        .precision_target(0.5)
         .build()
         .train(ts)
         .expect("training set is non-empty")
@@ -52,6 +58,11 @@ fn pipeline_is_thread_count_invariant() {
     let reference = train_with(&ts, 1);
     let ref_tier = reference.tier_predictor().save_text();
     let ref_miv = reference.miv_pinpointer().map(|m| m.save_text());
+    let ref_classifier = reference.classifier().map(|c| c.save_text());
+    assert!(
+        ref_classifier.is_some(),
+        "the training set must pass the Classifier's confidence gate"
+    );
 
     for threads in [2, 4] {
         let fw = train_with(&ts, threads);
@@ -69,6 +80,11 @@ fn pipeline_is_thread_count_invariant() {
             fw.miv_pinpointer().map(|m| m.save_text()),
             ref_miv,
             "MIV-pinpointer weights differ at {threads} threads"
+        );
+        assert_eq!(
+            fw.classifier().map(|c| c.save_text()),
+            ref_classifier,
+            "Classifier weights differ at {threads} threads"
         );
         for (i, s) in samples.iter().enumerate() {
             let (tier_a, conf_a) = reference
