@@ -59,11 +59,10 @@ cargo test -q -p m3d-obs --features alloc-profile
 
 echo "== steady-state zero-allocation gate (m3d-gnn alloc-profile) =="
 # After one warmup call, a gnn.train call may allocate only its per-call
-# bookkeeping (its buffers and, for a transferred model, the frozen
-# trunk's head inputs, computed once per call), never anything per
-# gradient step: for a fresh and a transferred model, an 8-epoch call
-# must allocate exactly 6 x 8 B (loss-curve slots) more than a 2-epoch
-# call.
+# bookkeeping (its buffers, shuffle order and loss curve), never anything
+# per gradient step: for a GCN model and for a dense head trained on its
+# readouts (as the Classifier trains), an 8-epoch call must allocate
+# exactly 6 x 8 B (loss-curve slots) more than a 2-epoch call.
 cargo test -q -p m3d-gnn --features alloc-profile --test alloc_steady_state
 
 echo "== microbench smoke (M3D_BENCH_SMOKE=1, one sample per bench) =="

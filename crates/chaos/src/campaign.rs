@@ -193,7 +193,7 @@ pub fn run_scenario(
                 &tier_probs,
                 &chaos.miv_probs(),
                 None,
-                &base.subgraph,
+                None,
                 &PolicyConfig {
                     t_p: fw.t_p(),
                     ..PolicyConfig::default()

@@ -132,17 +132,13 @@ pub enum GraphChaos {
 /// Deterministic in `rng`'s state.
 pub fn inject_subgraph(sub: &Subgraph, chaos: &GraphChaos, rng: &mut StdRng) -> Subgraph {
     match chaos {
-        GraphChaos::Empty => {
-            let graph = Graph::new(0);
-            Subgraph {
-                nodes: vec![],
-                adj: graph.normalize(true),
-                graph,
-                x: Matrix::zeros(0, N_FEATURES),
-                miv_rows: vec![],
-                stats: sub.stats,
-            }
-        }
+        GraphChaos::Empty => Subgraph {
+            nodes: vec![],
+            adj: Graph::new(0).normalize(true),
+            x: Matrix::zeros(0, N_FEATURES),
+            miv_rows: vec![],
+            stats: sub.stats,
+        },
         GraphChaos::NanFeatures { frac } => poison_rows(sub, *frac, f32::NAN, rng),
         GraphChaos::InfFeatures { frac } => poison_rows(sub, *frac, f32::INFINITY, rng),
         GraphChaos::OrphanMivRow => {

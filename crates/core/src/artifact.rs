@@ -1,21 +1,23 @@
-//! Whole-framework artifact persistence: the `m3d-artifact/1` format.
+//! Whole-framework artifact persistence: the `m3d-artifact/2` format.
 //!
 //! A trained [`Framework`](crate::Framework) is only useful across process
 //! exits if everything the diagnosis path consumes survives serialization:
 //! the Tier-predictor and MIV-pinpointer GCNs, the transfer-learned
-//! Classifier, the PR-curve-derived `T_P` (with its fallback marker), the
-//! policy knobs, and — because the models are only meaningful against the
-//! exact circuit they were trained on — the design recipe plus a
+//! Classifier head, the PR-curve-derived `T_P` (with its fallback marker),
+//! the policy knobs, and — because the models are only meaningful against
+//! the exact circuit they were trained on — the design recipe plus a
 //! fingerprint of the bench it produces.
 //!
 //! The format extends the zero-dependency line-oriented text layout of
 //! `m3d-gnn-model v1` (exact `f32`/`f64` round-trips via hex-encoded
 //! bits): a header, the embedded [`TestBenchConfig`] recipe, the policy
 //! state, and up to three embedded model blocks, each preceded by its
-//! line count so a reader can slice it without understanding its grammar:
+//! line count so a reader can slice it without understanding its grammar.
+//! The Classifier block is a dense head alone (the `head` section of
+//! `m3d-gnn-model v1`) over the Tier-predictor's readout.
 //!
 //! ```text
-//! m3d-artifact/1
+//! m3d-artifact/2
 //! design aes/Syn-1
 //! profile aes
 //! scale 3f747ae147ae147b
@@ -23,13 +25,14 @@
 //! compaction 4
 //! atpg a7b6 256 8 3fef0a3d70a3d70a 1000
 //! fingerprint 9e3779b97f4a7c15
-//! policy 3f7d70a4 3f4ccccd 1 1 0
+//! policy 3f7d70a4 3f4ccccd 1 0
 //! tier 9
 //! m3d-gnn-model v1
 //! ...
 //! miv 0
-//! classifier 9
-//! m3d-gnn-model v1
+//! classifier 7
+//! head 2
+//! layer 64 16
 //! ...
 //! end m3d-artifact
 //! ```
@@ -51,7 +54,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// The version header every artifact starts with.
-pub const ARTIFACT_HEADER: &str = "m3d-artifact/1";
+pub const ARTIFACT_HEADER: &str = "m3d-artifact/2";
 const ARTIFACT_FOOTER: &str = "end m3d-artifact";
 
 /// A serialized, self-contained diagnosis framework: design recipe +
@@ -67,7 +70,6 @@ pub struct Artifact {
     bench_cfg: TestBenchConfig,
     fingerprint: u64,
     policy: PolicyConfig,
-    use_miv: bool,
     t_p_fallback: bool,
     tier_text: String,
     miv_text: Option<String>,
@@ -157,8 +159,8 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a `<key> <value>` line if the next line carries `key`;
-    /// leaves the cursor untouched otherwise (for optional fields added
-    /// after `m3d-artifact/1` shipped — older documents simply omit them).
+    /// leaves the cursor untouched otherwise (for optional fields, which
+    /// documents without them simply omit).
     fn optional_field(&mut self, key: &str) -> Option<(usize, &'a str)> {
         let line = self.lines.get(self.at)?;
         let rest = line.strip_prefix(key).and_then(|r| r.strip_prefix(' '))?;
@@ -251,7 +253,6 @@ impl Artifact {
             bench_cfg: bench_cfg.clone(),
             fingerprint: design_fingerprint(bench),
             policy: *fw.policy(),
-            use_miv: fw.use_miv(),
             t_p_fallback: fw.t_p_is_fallback(),
             tier_text: fw.tier_predictor().save_text(),
             miv_text: fw.miv_pinpointer().map(MivPinpointer::save_text),
@@ -300,19 +301,18 @@ impl Artifact {
         let classifier = self
             .classifier_text
             .as_deref()
-            .map(PruneClassifier::load_text)
+            .map(|text| PruneClassifier::load_text(text, &tier))
             .transpose()?;
         Ok(Framework::from_parts(
             tier,
             miv,
             classifier,
             self.policy,
-            self.use_miv,
             self.t_p_fallback,
         ))
     }
 
-    /// Serializes to the `m3d-artifact/1` text document.
+    /// Serializes to the `m3d-artifact/2` text document.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{ARTIFACT_HEADER}");
@@ -344,11 +344,10 @@ impl Artifact {
         let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
         let _ = writeln!(
             s,
-            "policy {:08x} {:08x} {} {} {}",
+            "policy {:08x} {:08x} {} {}",
             self.policy.t_p.to_bits(),
             self.policy.miv_threshold.to_bits(),
             u8::from(self.policy.tier_enabled),
-            u8::from(self.use_miv),
             u8::from(self.t_p_fallback),
         );
         for (key, block) in [
@@ -373,7 +372,7 @@ impl Artifact {
         s
     }
 
-    /// Parses an `m3d-artifact/1` document, validating structure, every
+    /// Parses an `m3d-artifact/2` document, validating structure, every
     /// numeric encoding, and each embedded model block.
     ///
     /// # Errors
@@ -454,15 +453,14 @@ impl Artifact {
         let fingerprint = parse_hex_u64(fp, n, "fingerprint")?;
         let (n, policy) = cursor.field("policy")?;
         let toks: Vec<&str> = policy.split_whitespace().collect();
-        let [t_p, miv_thr, tier_en, use_miv, fallback] = toks.as_slice() else {
-            return Err(err(n, "policy line needs 5 fields"));
+        let [t_p, miv_thr, tier_en, fallback] = toks.as_slice() else {
+            return Err(err(n, "policy line needs 4 fields"));
         };
         let policy = PolicyConfig {
             t_p: parse_hex_f32(t_p, n, "policy t_p")?,
             miv_threshold: parse_hex_f32(miv_thr, n, "policy miv_threshold")?,
             tier_enabled: parse_bool(tier_en, n, "policy tier_enabled")?,
         };
-        let use_miv = parse_bool(use_miv, n, "policy use_miv")?;
         let t_p_fallback = parse_bool(fallback, n, "policy t_p_fallback")?;
 
         let tier_text = cursor
@@ -491,7 +489,6 @@ impl Artifact {
             },
             fingerprint,
             policy,
-            use_miv,
             t_p_fallback,
             tier_text,
             miv_text,
@@ -538,6 +535,7 @@ mod tests {
     use crate::dataset::{generate_samples, DatasetConfig, DesignContext};
     use crate::framework::{FrameworkConfig, TrainingSet};
     use m3d_exec::ExecPool;
+    use m3d_gnn::DenseHead;
 
     fn tiny_bench() -> (TestBenchConfig, TestBench) {
         let cfg = TestBenchConfig {
@@ -614,11 +612,21 @@ mod tests {
         let fw = trained(&bench);
         let text = Artifact::capture(&cfg, &bench, &fw).to_text();
 
-        // Version skew.
-        let skewed = text.replacen("m3d-artifact/1", "m3d-artifact/2", 1);
+        // Version skew, backward and forward.
+        for version in ["m3d-artifact/1", "m3d-artifact/3"] {
+            let skewed = text.replacen(ARTIFACT_HEADER, version, 1);
+            assert!(matches!(
+                Artifact::from_text(&skewed),
+                Err(Error::Artifact { line: 1, .. })
+            ));
+        }
+        // A Classifier head that does not read the tier-predictor's readout.
+        let head = fw.classifier().expect("a trained classifier").save_text();
+        let narrow = DenseHead::new(8, Some(16), 2, 1);
+        let bad = text.replacen(&head, &narrow.save_text(), 1);
         assert!(matches!(
-            Artifact::from_text(&skewed),
-            Err(Error::Artifact { line: 1, .. })
+            Artifact::from_text(&bad),
+            Err(Error::LoadModel(_))
         ));
         // Truncation at every 10th line must error, never panic.
         let lines: Vec<&str> = text.lines().collect();

@@ -120,10 +120,9 @@ pub struct BacktraceStats {
 pub struct Subgraph {
     /// The heterogeneous-graph nodes included, ascending.
     pub nodes: Vec<HNodeId>,
-    /// The induced circuit-level edge structure (kept for dummy-buffer
-    /// oversampling, which edits the topology).
-    pub graph: Graph,
-    /// Normalized adjacency over the induced circuit-level edges.
+    /// Normalized adjacency over the induced circuit-level edges (its
+    /// neighbor lists rebuild the edge structure; see
+    /// [`NormAdj::neighbors`]).
     pub adj: NormAdj,
     /// Node features (`n × 13`, Table II).
     pub x: Matrix,
@@ -326,11 +325,9 @@ pub fn reference_backtrace(
 }
 
 fn empty_subgraph() -> Subgraph {
-    let graph = Graph::new(0);
     Subgraph {
         nodes: vec![],
-        adj: graph.normalize(true),
-        graph,
+        adj: Graph::new(0).normalize(true),
         x: Matrix::zeros(0, N_FEATURES),
         miv_rows: vec![],
         stats: BacktraceStats::default(),
@@ -370,7 +367,6 @@ pub fn build_subgraph(
     }
     Subgraph {
         adj: g.normalize(true),
-        graph: g,
         nodes,
         x,
         miv_rows,

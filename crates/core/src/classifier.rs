@@ -2,16 +2,17 @@
 //! high-confidence Tier-predictor sample is safe to **prune** or should
 //! only be **reordered**.
 //!
-//! Built by network-based deep transfer learning: the pretrained (frozen)
-//! GCN trunk of the Tier-predictor extracts features; fresh classification
-//! layers are trained on Predicted-Positive samples, with the heavily
-//! outnumbered False-Positive class always balanced by dummy-buffer
-//! oversampling.
+//! Built by network-based deep transfer learning: the pretrained GCN
+//! trunk of the Tier-predictor stays frozen and extracts features, and
+//! fresh classification layers learn on Predicted-Positive samples, with
+//! the heavily outnumbered False-Positive class always balanced by
+//! dummy-buffer oversampling. A frozen trunk's mean ‖ max readout of a
+//! subgraph is a fixed vector, so the Classifier is a [`DenseHead`] over
+//! the Tier-predictor's readout: it keeps no trunk of its own.
 
-use crate::backtrace::Subgraph;
 use crate::models::TierPredictor;
 use crate::oversample::balance_with_buffers;
-use m3d_gnn::{GcnModel, GraphSample, TrainConfig};
+use m3d_gnn::{DenseHead, GraphSample, Matrix, ScoredSample, TrainConfig};
 
 /// Classifier output class: pruning is safe (the tier prediction is
 /// trustworthy).
@@ -30,54 +31,63 @@ const SEED: u64 = 0xC1A5;
 /// The trained prune/reorder Classifier.
 #[derive(Debug)]
 pub struct PruneClassifier {
-    model: GcnModel,
+    head: DenseHead,
 }
 
 impl PruneClassifier {
-    /// Trains the Classifier from the Tier-predictor's trunk on
-    /// Predicted-Positive training samples.
+    /// Trains the Classifier's head on the Tier-predictor's readouts of
+    /// its Predicted-Positive training samples.
     ///
-    /// `labelled` pairs each subgraph with its true tier; samples whose
-    /// Tier-predictor confidence is below `t_p` are excluded (they are
+    /// `readouts[i]` and `scores[i]` are `tier`'s readout and scored
+    /// prediction of `samples[i]` (see [`TierPredictor::scored`]).
+    /// Samples whose confidence is below `t_p` are excluded (they are
     /// Predicted Negative and handled by reordering in the policy). The
     /// label is `CLASS_PRUNE` when the tier prediction is correct (True
     /// Positive) and `CLASS_REORDER` otherwise (False Positive).
     ///
     /// The training set is balanced with dummy-buffer oversampling before
-    /// the new head trains.
+    /// the head trains; only the synthetic copies need a trunk pass.
     ///
     /// Returns `None` when no sample passes the confidence gate.
-    pub fn train(tier: &TierPredictor, labelled: &[(Subgraph, usize)], t_p: f32) -> Option<Self> {
-        let mut training: Vec<(Subgraph, usize)> = Vec::new();
-        for (sub, true_tier) in labelled {
-            if sub.is_empty() {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples`, `readouts` and `scores` differ in length.
+    pub fn train(
+        tier: &TierPredictor,
+        samples: &[GraphSample],
+        readouts: &[Matrix],
+        scores: &[ScoredSample],
+        t_p: f32,
+    ) -> Option<Self> {
+        assert_eq!(samples.len(), readouts.len(), "one readout per sample");
+        assert_eq!(samples.len(), scores.len(), "one score per sample");
+        let mut training: Vec<(Matrix, usize)> = Vec::new();
+        let mut graphs = Vec::new();
+        for ((sample, readout), scored) in samples.iter().zip(readouts).zip(scores) {
+            if scored.score < t_p {
                 continue;
             }
-            let p = tier.predict(sub);
-            let pred = usize::from(p[1] > p[0]);
-            let conf = p[pred];
-            if conf < t_p {
-                continue;
-            }
-            let class = if pred == *true_tier {
+            let class = if scored.correct {
                 CLASS_PRUNE
             } else {
                 CLASS_REORDER
             };
-            training.push((sub.clone(), class));
+            training.push((readout.clone(), class));
+            graphs.push((&sample.adj, &sample.x, class));
         }
         if training.is_empty() {
             return None;
         }
-        let synthetic = balance_with_buffers(&training);
-        training.extend(synthetic);
-        let samples: Vec<GraphSample> = training
-            .iter()
-            .map(|(sub, class)| GraphSample::graph_level(sub.adj.clone(), sub.x.clone(), *class))
-            .collect();
-        let mut model = tier.model().transfer(2, Some(HEAD_HIDDEN), SEED);
-        model.train(
-            &samples,
+        let model = tier.model();
+        training.extend(
+            balance_with_buffers(&graphs)
+                .into_iter()
+                .map(|(adj, x, class)| (model.readout(&adj, &x), class)),
+        );
+        let mut head = DenseHead::new(model.head().in_dim(), Some(HEAD_HIDDEN), 2, SEED);
+        head.train(
+            &training,
             &TrainConfig {
                 epochs: EPOCHS,
                 seed: SEED ^ 0x99,
@@ -85,60 +95,36 @@ impl PruneClassifier {
                 ..TrainConfig::default()
             },
         );
-        Some(PruneClassifier { model })
+        Some(PruneClassifier { head })
     }
 
-    /// Serializes the trained Classifier to the `m3d-gnn-model v1` text
-    /// format (the transferred trunk round-trips via its frozen-layer
-    /// count).
+    /// Serializes the trained head as the `head` section of the
+    /// `m3d-gnn-model v1` text format.
     pub fn save_text(&self) -> String {
-        self.model.save_text()
+        self.head.save_text()
     }
 
-    /// Loads a Classifier saved by [`PruneClassifier::save_text`].
+    /// Loads a Classifier saved by [`PruneClassifier::save_text`] over
+    /// `tier`'s readout.
     ///
     /// # Errors
     ///
-    /// [`crate::Error::LoadModel`] for malformed input, a node-level
-    /// model, or a model without a frozen transfer trunk.
-    pub fn load_text(text: &str) -> crate::Result<Self> {
-        let model = GcnModel::load_text(text)?;
-        if model.task() != m3d_gnn::Task::Graph {
-            return Err(
-                m3d_gnn::LoadModelError::custom("classifiers are graph-level models").into(),
-            );
+    /// [`crate::Error::LoadModel`] for a malformed head, or one that does
+    /// not map `tier`'s readout to two classes.
+    pub fn load_text(text: &str, tier: &TierPredictor) -> crate::Result<Self> {
+        let head = DenseHead::load_text(text)?;
+        if head.in_dim() != tier.model().head().in_dim() || head.n_classes() != 2 {
+            let msg = "classifiers map the tier-predictor's readout to two classes";
+            return Err(m3d_gnn::LoadModelError::custom(msg).into());
         }
-        if model.frozen_layer_count() == 0 {
-            return Err(m3d_gnn::LoadModelError::custom(
-                "classifiers carry a frozen transfer trunk",
-            )
-            .into());
-        }
-        Ok(PruneClassifier { model })
+        Ok(PruneClassifier { head })
     }
 
-    /// Decision for a subgraph: `(should_prune, p_prune)`.
-    pub fn should_prune(&self, sub: &Subgraph) -> (bool, f32) {
-        if sub.is_empty() {
-            return (false, 0.0);
-        }
-        let p = self.model.predict_graph(&sub.adj, &sub.x);
+    /// Decision for a subgraph from its Tier-predictor readout (see
+    /// [`TierPredictor::readout`]): `(should_prune, p_prune)`.
+    pub fn should_prune(&self, readout: &Matrix) -> (bool, f32) {
+        let p = self.head.predict(readout);
         (p[CLASS_PRUNE] >= p[CLASS_REORDER], p[CLASS_PRUNE])
-    }
-
-    /// Fraction of labelled cases classified correctly.
-    pub fn accuracy(&self, labelled: &[(Subgraph, usize)]) -> f64 {
-        if labelled.is_empty() {
-            return 0.0;
-        }
-        let correct = labelled
-            .iter()
-            .filter(|(sub, class)| {
-                let (prune, _) = self.should_prune(sub);
-                usize::from(prune) == *class
-            })
-            .count();
-        correct as f64 / labelled.len() as f64
     }
 }
 
@@ -149,7 +135,6 @@ mod tests {
     use crate::design::{DesignConfig, TestBench, TestBenchConfig};
     use crate::models::{tier_training_set, ModelTrainConfig};
     use m3d_netlist::BenchmarkProfile;
-    use m3d_part::Tier;
 
     fn setup() -> (TestBench, Vec<crate::dataset::Sample>) {
         let tb = TestBench::build(&TestBenchConfig {
@@ -168,24 +153,16 @@ mod tests {
         let (tb, samples) = setup();
         let tset = tier_training_set(&tb, &samples);
         let tier = TierPredictor::train(&tset, &ModelTrainConfig::default());
-        let labelled: Vec<(Subgraph, usize)> = samples
-            .iter()
-            .filter_map(|s| {
-                s.fault
-                    .tier(&tb)
-                    .map(|t: Tier| (s.subgraph.clone(), t.index()))
-            })
-            .collect();
-        let clf = PruneClassifier::train(&tier, &labelled, 0.5)
+        let (readouts, scores) = tier.scored(&tset);
+        let clf = PruneClassifier::train(&tier, &tset, &readouts, &scores, 0.5)
             .expect("some predicted positives at t_p = 0.5");
-        let (decision, p) = clf.should_prune(&samples[0].subgraph);
+        let (_, p) = clf.should_prune(&tier.readout(&samples[0].subgraph));
         assert!((0.0..=1.0).contains(&p));
-        let _ = decision;
         // On a mostly-correct Tier-predictor, the classifier should mostly
         // vote prune on its own training inputs.
         let prune_votes = samples
             .iter()
-            .filter(|s| clf.should_prune(&s.subgraph).0)
+            .filter(|s| clf.should_prune(&tier.readout(&s.subgraph)).0)
             .count();
         assert!(
             prune_votes * 3 >= samples.len(),
@@ -199,11 +176,11 @@ mod tests {
         let (tb, samples) = setup();
         let tset = tier_training_set(&tb, &samples);
         let tier = TierPredictor::train(&tset, &ModelTrainConfig::default());
-        let labelled: Vec<(Subgraph, usize)> = samples
-            .iter()
-            .filter_map(|s| s.fault.tier(&tb).map(|t| (s.subgraph.clone(), t.index())))
-            .collect();
+        let (readouts, scores) = tier.scored(&tset);
         // Confidence can never exceed 1.0.
-        assert!(PruneClassifier::train(&tier, &labelled, 1.1).is_none());
+        assert!(PruneClassifier::train(&tier, &tset, &readouts, &scores, 1.1).is_none());
+        // Inputs of different lengths are rejected, not cut to the shortest.
+        let short = || PruneClassifier::train(&tier, &tset, &readouts, &scores[1..], 0.5);
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(short)).is_err());
     }
 }

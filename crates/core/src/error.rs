@@ -34,7 +34,7 @@ pub enum Error {
     },
     /// An embedded `m3d-gnn-model v1` block failed to deserialize.
     LoadModel(LoadModelError),
-    /// An `m3d-artifact/1` document is malformed (bad header, truncation,
+    /// An `m3d-artifact/2` document is malformed (bad header, truncation,
     /// version skew, or a corrupt section).
     Artifact {
         /// 1-based line of the first malformed artifact line (0 for

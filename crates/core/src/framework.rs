@@ -54,12 +54,10 @@ impl Default for FrameworkConfig {
 /// partitioned netlists).
 #[derive(Debug, Default)]
 pub struct TrainingSet {
-    /// Graph-level tier samples.
+    /// Graph-level tier samples (also the Classifier's).
     pub tier_samples: Vec<GraphSample>,
     /// Node-level MIV samples.
     pub miv_samples: Vec<GraphSample>,
-    /// `(subgraph, true tier)` pairs for Classifier training.
-    pub labelled_subgraphs: Vec<(Subgraph, usize)>,
 }
 
 impl TrainingSet {
@@ -72,14 +70,6 @@ impl TrainingSet {
     pub fn add(&mut self, bench: &TestBench, samples: &[Sample]) {
         self.tier_samples.extend(tier_training_set(bench, samples));
         self.miv_samples.extend(miv_training_set(samples));
-        for s in samples {
-            if let Some(tier) = s.fault.tier(bench) {
-                if !s.subgraph.is_empty() {
-                    self.labelled_subgraphs
-                        .push((s.subgraph.clone(), tier.index()));
-                }
-            }
-        }
     }
 }
 
@@ -128,8 +118,13 @@ pub struct FrameworkResult {
     pub atpg_report: DiagnosisReport,
     /// The policy outcome (final report, prunes, action).
     pub outcome: PolicyOutcome,
-    /// `Some(reason)` when GNN evidence was unusable and the case fell
-    /// back to the unpruned ATPG ranking; `None` for a healthy case.
+    /// `Some(reason)` when the GNN evidence was unusable; `None` for a
+    /// healthy case. A degraded case's tier probabilities read `[0.5, 0.5]`
+    /// and its MIV evidence is dropped, which need not leave the ATPG
+    /// ranking as it was: the tie predicts Tier 1, so the policy reorders
+    /// Tier-1 candidates first, and a `T_P ≤ 0.5` opens the prune branch,
+    /// where the Classifier decides on the subgraph's readout (no readout,
+    /// no prune) and, without a Classifier, the case is pruned.
     pub degraded: Option<DegradeReason>,
     /// `true` when the framework's `T_P` threshold is the unreachable-
     /// precision fallback of 1.0 — the pruning rule never fires, so this
@@ -153,14 +148,15 @@ pub struct Framework {
     miv: Option<MivPinpointer>,
     classifier: Option<PruneClassifier>,
     policy: PolicyConfig,
-    use_miv: bool,
     t_p_fallback: bool,
 }
 
 impl Framework {
     /// Trains Tier-predictor and MIV-pinpointer (all restarts of both in
     /// one dispatch on `pool`), derives `T_P` from the Tier-predictor's
-    /// training PR curve, and (optionally) trains the Classifier.
+    /// training PR curve, and (optionally) trains the Classifier. One pass
+    /// of the trained Tier-predictor over its samples yields the PR curve,
+    /// the Classifier's gate and its head inputs (the readouts).
     ///
     /// # Errors
     ///
@@ -175,15 +171,18 @@ impl Framework {
         }
         let _span = m3d_obs::span!("framework.train");
         m3d_obs::info!(
-            "training framework: {} tier samples, {} MIV samples, {} labelled subgraphs",
+            "training framework: {} tier samples, {} MIV samples",
             ts.tier_samples.len(),
             ts.miv_samples.len(),
-            ts.labelled_subgraphs.len()
         );
         let miv_samples =
             (!ts.miv_samples.is_empty() && cfg.use_miv).then_some(&ts.miv_samples[..]);
         let (tier, miv) = train_tier_and_miv(&ts.tier_samples, miv_samples, &cfg.model, pool);
-        let curve = PrCurve::from_samples(&tier.confidence_scores(&ts.tier_samples));
+        let (readouts, scores) = {
+            let _span = m3d_obs::span!("framework.score");
+            tier.scored(&ts.tier_samples)
+        };
+        let curve = PrCurve::from_samples(&scores);
         let (t_p, t_p_fallback) = match curve.min_threshold_for_precision(cfg.precision_target) {
             Some(t) => (t, false),
             None => {
@@ -197,7 +196,10 @@ impl Framework {
         };
         let classifier = cfg
             .use_classifier
-            .then(|| PruneClassifier::train(&tier, &ts.labelled_subgraphs, t_p))
+            .then(|| {
+                let _span = m3d_obs::span!("framework.classifier");
+                PruneClassifier::train(&tier, &ts.tier_samples, &readouts, &scores, t_p)
+            })
             .flatten();
         m3d_obs::gauge!("framework.t_p", f64::from(t_p));
         m3d_obs::info!(
@@ -214,7 +216,6 @@ impl Framework {
                 miv_threshold: cfg.miv_threshold,
                 tier_enabled: cfg.use_tier,
             },
-            use_miv: cfg.use_miv,
             t_p_fallback,
         })
     }
@@ -252,12 +253,6 @@ impl Framework {
         &self.policy
     }
 
-    /// Whether the MIV-pinpointer is consulted (Table XI ablation; the
-    /// Tier-predictor's flag is the policy's `tier_enabled`).
-    pub(crate) fn use_miv(&self) -> bool {
-        self.use_miv
-    }
-
     /// Reassembles a framework from deserialized parts (artifact loading;
     /// the policy carries the persisted `T_P`).
     pub(crate) fn from_parts(
@@ -265,14 +260,12 @@ impl Framework {
         miv: Option<MivPinpointer>,
         classifier: Option<PruneClassifier>,
         policy: PolicyConfig,
-        use_miv: bool,
         t_p_fallback: bool,
     ) -> Self {
         Framework {
             tier,
             miv,
             classifier,
-            use_miv,
             t_p_fallback,
             policy,
         }
@@ -336,34 +329,37 @@ impl Framework {
         let inference = m3d_obs::span!("inference");
         let flops_start = m3d_gnn::kernel_flops();
         let mut degraded: Option<DegradeReason> = None;
-        // [0.5, 0.5] never clears T_P, so every fallback below degrades
-        // the policy to a no-op reorder of the ATPG ranking.
-        let tier_probs = if !self.policy.tier_enabled {
-            [0.5, 0.5] // ablation, not degradation
-        } else if subgraph.is_empty() {
-            degraded = Some(DegradeReason::EmptySubgraph);
-            [0.5, 0.5]
-        } else if subgraph.x.has_non_finite() {
-            degraded = Some(DegradeReason::NonFiniteFeatures);
-            [0.5, 0.5]
-        } else {
-            let p = self.tier.predict(subgraph);
-            if p.iter().all(|v| v.is_finite()) {
-                p
-            } else {
-                degraded = Some(DegradeReason::NonFiniteInference);
+        // One Tier trunk pass per chip feeds both heads. A fallback below
+        // reads [0.5, 0.5]: the policy still reorders toward Tier 1 and,
+        // under a T_P <= 0.5, may prune (see `FrameworkResult::degraded`),
+        // the Classifier deciding on this readout even of poisoned features.
+        let readout =
+            (self.policy.tier_enabled && !subgraph.is_empty()).then(|| self.tier.readout(subgraph));
+        let tier_probs = match &readout {
+            None if !self.policy.tier_enabled => [0.5, 0.5], // ablation, not degradation
+            None => {
+                degraded = Some(DegradeReason::EmptySubgraph);
                 [0.5, 0.5]
+            }
+            Some(_) if subgraph.x.has_non_finite() => {
+                degraded = Some(DegradeReason::NonFiniteFeatures);
+                [0.5, 0.5]
+            }
+            Some(r) => {
+                let p = self.tier.predict_readout(r);
+                if p.iter().all(|v| v.is_finite()) {
+                    p
+                } else {
+                    degraded = Some(DegradeReason::NonFiniteInference);
+                    [0.5, 0.5]
+                }
             }
         };
         // MIV inference on a poisoned subgraph would only add more
         // non-finite probabilities; skip it once the case is degraded.
-        let miv_probs = if self.use_miv && degraded.is_none() {
-            self.miv
-                .as_ref()
-                .map(|m| m.predict(subgraph))
-                .unwrap_or_default()
-        } else {
-            Vec::new()
+        let miv_probs = match &self.miv {
+            Some(m) if degraded.is_none() => m.predict(subgraph),
+            _ => Vec::new(),
         };
         let flops = m3d_gnn::kernel_flops() - flops_start;
         if flops > 0 {
@@ -379,7 +375,7 @@ impl Framework {
             &tier_probs,
             &miv_probs,
             self.classifier.as_ref(),
-            subgraph,
+            readout.as_ref(),
             &self.policy,
         );
         let t_update = t2.elapsed();
@@ -569,11 +565,9 @@ mod tests {
 
         // Zero-node subgraph: same guarantee under the EmptySubgraph reason.
         let mut empty = train[0].clone();
-        let g = Graph::new(0);
         empty.subgraph = crate::backtrace::Subgraph {
             nodes: vec![],
-            adj: g.normalize(true),
-            graph: g,
+            adj: Graph::new(0).normalize(true),
             x: Matrix::zeros(0, N_FEATURES),
             miv_rows: vec![],
             stats: Default::default(),

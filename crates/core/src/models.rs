@@ -6,7 +6,7 @@ use crate::dataset::Sample;
 use crate::design::TestBench;
 use crate::features::N_FEATURES;
 use m3d_exec::ExecPool;
-use m3d_gnn::{GcnConfig, GcnModel, GraphSample, ScoredSample, Task, TrainConfig};
+use m3d_gnn::{GcnConfig, GcnModel, GraphSample, Matrix, ScoredSample, Task, TrainConfig};
 use m3d_part::MivId;
 
 /// Training hyper-parameters shared by both models.
@@ -106,7 +106,8 @@ fn best_of_restarts(
 
 /// Trains the Tier-predictor and, when `miv_samples` is given, the
 /// MIV-pinpointer: both models' restarts share one dispatch on `pool`.
-/// Each model is the one its own `train_with_pool` would return.
+/// Each model is the one [`TierPredictor::train`] or
+/// [`MivPinpointer::train`] would return.
 ///
 /// # Panics
 ///
@@ -175,20 +176,6 @@ impl TierPredictor {
         Self::train_multi(samples, 2, cfg)
     }
 
-    /// [`TierPredictor::train`] on an explicit [`ExecPool`] (restarts fan
-    /// out; the result is identical at any thread count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn train_with_pool(
-        samples: &[GraphSample],
-        cfg: &ModelTrainConfig,
-        pool: &ExecPool,
-    ) -> Self {
-        Self::train_multi_with_pool(samples, 2, cfg, pool)
-    }
-
     /// Trains an `n_tiers`-way tier classifier (the paper's stated
     /// extension: "the dimension of the graph representation vector
     /// \[extends\] to the number of tiers in the CUDs").
@@ -198,22 +185,8 @@ impl TierPredictor {
     /// Panics if `samples` is empty, `n_tiers < 2`, or a label is out of
     /// range.
     pub fn train_multi(samples: &[GraphSample], n_tiers: usize, cfg: &ModelTrainConfig) -> Self {
-        Self::train_multi_with_pool(samples, n_tiers, cfg, &ExecPool::default())
-    }
-
-    /// [`TierPredictor::train_multi`] on an explicit [`ExecPool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty, `n_tiers < 2`, or a label is out of
-    /// range.
-    pub fn train_multi_with_pool(
-        samples: &[GraphSample],
-        n_tiers: usize,
-        cfg: &ModelTrainConfig,
-        pool: &ExecPool,
-    ) -> Self {
-        let mut models = best_of_restarts(&[Self::spec(samples, n_tiers)], cfg, pool);
+        let spec = Self::spec(samples, n_tiers);
+        let mut models = best_of_restarts(&[spec], cfg, &ExecPool::default());
         TierPredictor {
             model: models.pop().expect("one model per spec"),
         }
@@ -289,8 +262,23 @@ impl TierPredictor {
     ///
     /// Panics if the subgraph is empty.
     pub fn predict(&self, sub: &Subgraph) -> [f32; 2] {
+        self.predict_readout(&self.readout(sub))
+    }
+
+    /// The GCN trunk's mean ‖ max readout of a subgraph: the input of
+    /// this model's head and of the Classifier's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the subgraph is empty.
+    pub fn readout(&self, sub: &Subgraph) -> Matrix {
         assert!(!sub.is_empty(), "cannot predict on an empty subgraph");
-        let p = self.model.predict_graph(&sub.adj, &sub.x);
+        self.model.readout(&sub.adj, &sub.x)
+    }
+
+    /// [`TierPredictor::predict`] from the subgraph's readout.
+    pub fn predict_readout(&self, readout: &Matrix) -> [f32; 2] {
+        let p = self.model.head().predict(readout);
         [p[0], p[1]]
     }
 
@@ -299,23 +287,30 @@ impl TierPredictor {
         self.model.accuracy(samples)
     }
 
-    /// Confidence scores for PR-curve threshold derivation: the maximum
-    /// class probability paired with prediction correctness.
-    pub fn confidence_scores(&self, samples: &[GraphSample]) -> Vec<ScoredSample> {
-        samples
+    /// One pass over graph-level samples: each sample's readout, and its
+    /// confidence (the maximum class probability) paired with prediction
+    /// correctness, for PR-curve threshold derivation.
+    pub fn scored(&self, samples: &[GraphSample]) -> (Vec<Matrix>, Vec<ScoredSample>) {
+        let readouts: Vec<Matrix> = samples
             .iter()
-            .map(|s| {
-                let p = self.model.predict_graph(&s.adj, &s.x);
+            .map(|s| self.model.readout(&s.adj, &s.x))
+            .collect();
+        let scores = readouts
+            .iter()
+            .zip(samples)
+            .map(|(readout, s)| {
+                let p = self.predict_readout(readout);
                 let pred = usize::from(p[1] > p[0]);
                 ScoredSample {
                     score: p[pred],
                     correct: pred == s.targets[0].1,
                 }
             })
-            .collect()
+            .collect();
+        (readouts, scores)
     }
 
-    /// The underlying model (transfer-learning source for the Classifier).
+    /// The underlying model (its readouts feed the Classifier).
     pub fn model(&self) -> &GcnModel {
         &self.model
     }
@@ -335,20 +330,7 @@ impl MivPinpointer {
     ///
     /// Panics if `samples` is empty.
     pub fn train(samples: &[GraphSample], cfg: &ModelTrainConfig) -> Self {
-        Self::train_with_pool(samples, cfg, &ExecPool::default())
-    }
-
-    /// [`MivPinpointer::train`] on an explicit [`ExecPool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn train_with_pool(
-        samples: &[GraphSample],
-        cfg: &ModelTrainConfig,
-        pool: &ExecPool,
-    ) -> Self {
-        let mut models = best_of_restarts(&[Self::spec(samples)], cfg, pool);
+        let mut models = best_of_restarts(&[Self::spec(samples)], cfg, &ExecPool::default());
         MivPinpointer {
             model: models.pop().expect("one model per spec"),
         }
@@ -479,7 +461,7 @@ mod tests {
         let train = generate_samples(&ctx, &DatasetConfig::single(40, 7));
         let tset = tier_training_set(&tb, &train);
         let predictor = TierPredictor::train(&tset, &ModelTrainConfig::default());
-        let scores = predictor.confidence_scores(&tset);
+        let scores = predictor.scored(&tset).1;
         let frac_correct = scores.iter().filter(|s| s.correct).count() as f64 / scores.len() as f64;
         assert!((frac_correct - predictor.accuracy(&tset)).abs() < 1e-9);
         assert!(scores.iter().all(|s| s.score >= 0.5 - 1e-6));

@@ -118,7 +118,7 @@ impl Pipeline {
     }
 
     /// Captures a trained framework plus the design recipe it was trained
-    /// against into a persistable [`Artifact`] (`m3d-artifact/1` text
+    /// against into a persistable [`Artifact`] (`m3d-artifact/2` text
     /// format; see [`Artifact::save`]). `bench` must be the bench built
     /// from `bench_cfg` — its fingerprint is recorded and re-verified at
     /// load time.

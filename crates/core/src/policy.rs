@@ -13,9 +13,9 @@
 //! can recover the full ATPG list when PFA comes up empty — guaranteeing
 //! the framework never does worse than ATPG accuracy in practice.
 
-use crate::backtrace::Subgraph;
 use crate::classifier::PruneClassifier;
 use m3d_diagnosis::{Candidate, DiagnosisReport};
+use m3d_gnn::Matrix;
 use m3d_part::{M3dNetlist, MivId, Tier};
 use std::collections::HashMap;
 
@@ -94,7 +94,9 @@ fn nan_loses(a: f32, b: f32) -> std::cmp::Ordering {
 /// (two-tier designs pass `&[p_bottom, p_top]`); `miv_probs` the
 /// MIV-pinpointer output; `classifier` the optional prune/reorder
 /// Classifier (standalone Tier-predictor mode — Table XI — passes `None`
-/// and prunes whenever confidence clears `T_P`).
+/// and prunes whenever confidence clears `T_P`), which decides on
+/// `readout`, the Tier-predictor's readout of the subgraph (`None`: no
+/// prune).
 ///
 /// Corrupted GNN outputs degrade instead of panicking: when `tier_probs`
 /// is empty or its maximum is NaN/Inf the tier evidence is discarded and
@@ -108,7 +110,7 @@ pub fn apply_policy(
     tier_probs: &[f32],
     miv_probs: &[(MivId, f32)],
     classifier: Option<&PruneClassifier>,
-    subgraph: &Subgraph,
+    readout: Option<&Matrix>,
     cfg: &PolicyConfig,
 ) -> PolicyOutcome {
     let _span = m3d_obs::span!("policy");
@@ -169,7 +171,7 @@ pub fn apply_policy(
     let prune = cfg.tier_enabled
         && tier_valid
         && confidence >= cfg.t_p
-        && classifier.is_none_or(|clf| clf.should_prune(subgraph).0);
+        && classifier.is_none_or(|clf| readout.is_some_and(|r| clf.should_prune(r).0));
 
     let mut pruned = Vec::new();
     let ordered_rest: Vec<Candidate> = if !cfg.tier_enabled || !tier_valid {
@@ -260,7 +262,6 @@ impl BackupDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m3d_gnn::{Graph, Matrix};
     use m3d_netlist::{generate, GeneratorConfig, PinRef};
     use m3d_part::{MinCutPartitioner, Partitioner};
     use m3d_sim::{Polarity, Tdf};
@@ -278,16 +279,22 @@ mod tests {
         M3dNetlist::build(nl, part)
     }
 
-    fn empty_subgraph() -> Subgraph {
-        let g = Graph::new(0);
-        Subgraph {
-            nodes: vec![],
-            adj: g.normalize(true),
-            graph: g,
-            x: Matrix::zeros(0, crate::features::N_FEATURES),
-            miv_rows: vec![],
-            stats: Default::default(),
-        }
+    /// The policy without a Classifier, at the default configuration.
+    fn policy(
+        report: &DiagnosisReport,
+        m: &M3dNetlist,
+        tier_probs: &[f32],
+        miv_probs: &[(MivId, f32)],
+    ) -> PolicyOutcome {
+        apply_policy(
+            report,
+            m,
+            tier_probs,
+            miv_probs,
+            None,
+            None,
+            &PolicyConfig::default(),
+        )
     }
 
     fn cand(site: PinRef) -> Candidate {
@@ -322,15 +329,8 @@ mod tests {
     fn low_confidence_reorders_without_loss() {
         let m = m3d();
         let (report, top, _bottom) = mixed_report(&m);
-        let out = apply_policy(
-            &report,
-            &m,
-            &[0.45, 0.55], // low confidence, top predicted
-            &[],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        // Low confidence, top predicted.
+        let out = policy(&report, &m, &[0.45, 0.55], &[]);
         assert_eq!(out.action, PolicyAction::Reordered);
         assert_eq!(out.report.resolution(), report.resolution());
         assert!(out.pruned.is_empty());
@@ -349,15 +349,8 @@ mod tests {
     fn high_confidence_prunes_other_tier() {
         let m = m3d();
         let (report, top, bottom) = mixed_report(&m);
-        let out = apply_policy(
-            &report,
-            &m,
-            &[0.02, 0.98],
-            &[],
-            None, // standalone Tier-predictor mode prunes directly
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        // Standalone Tier-predictor mode (no Classifier) prunes directly.
+        let out = policy(&report, &m, &[0.02, 0.98], &[]);
         assert_eq!(out.action, PolicyAction::Pruned);
         assert_eq!(out.report.resolution(), top.len());
         assert_eq!(out.pruned.len(), bottom.len());
@@ -390,15 +383,7 @@ mod tests {
         };
         let (mut report, ..) = mixed_report(&m);
         report.candidates_mut().push(cand(miv_site));
-        let out = apply_policy(
-            &report,
-            &m,
-            probs,
-            &[(miv_id, 0.95)],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        let out = policy(&report, &m, probs, &[(miv_id, 0.95)]);
         assert_eq!(out.faulty_mivs, vec![miv_id]);
         assert_eq!(out.report.candidates()[0].fault.site, miv_site);
         assert!(out.pruned.iter().all(|c| c.fault.site != miv_site));
@@ -408,15 +393,8 @@ mod tests {
     fn empty_tier_probs_degrade_to_atpg_passthrough() {
         let m = m3d();
         let (report, ..) = mixed_report(&m);
-        let out = apply_policy(
-            &report,
-            &m,
-            &[], // zero-node subgraph: the predictor produced nothing
-            &[],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        // Zero-node subgraph: the predictor produced nothing.
+        let out = policy(&report, &m, &[], &[]);
         assert!(out.degraded);
         assert_eq!(out.action, PolicyAction::Reordered);
         assert!(out.pruned.is_empty());
@@ -432,15 +410,7 @@ mod tests {
         let (report, ..) = mixed_report(&m);
         // One tier NaN, the other finite: the finite tier must win even
         // though NaN would tie under the old unwrap_or(Equal) comparator.
-        let out = apply_policy(
-            &report,
-            &m,
-            &[f32::NAN, 0.40],
-            &[],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        let out = policy(&report, &m, &[f32::NAN, 0.40], &[]);
         assert!(!out.degraded, "a finite max is still usable evidence");
         assert_eq!(out.predicted_tier, Tier::TOP);
         assert_eq!(out.confidence, 0.40);
@@ -456,15 +426,7 @@ mod tests {
             &[f32::INFINITY, 0.01][..], // Inf clears any T_P — must not prune
             &[0.2, f32::NEG_INFINITY, f32::INFINITY][..],
         ] {
-            let out = apply_policy(
-                &report,
-                &m,
-                probs,
-                &[],
-                None,
-                &empty_subgraph(),
-                &PolicyConfig::default(),
-            );
+            let out = policy(&report, &m, probs, &[]);
             assert!(out.degraded, "probs {probs:?} should degrade");
             assert_eq!(out.action, PolicyAction::Reordered);
             assert!(out.pruned.is_empty(), "probs {probs:?} must not prune");
@@ -477,14 +439,11 @@ mod tests {
     fn non_finite_miv_probs_are_dropped_not_trusted() {
         let m = m3d();
         let (report, ..) = mixed_report(&m);
-        let out = apply_policy(
+        let out = policy(
             &report,
             &m,
             &[0.5, 0.5],
             &[(MivId(0), f32::NAN), (MivId(1), f32::INFINITY)],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
         );
         assert!(out.degraded);
         assert!(
@@ -500,15 +459,7 @@ mod tests {
         // total_cmp migration.
         let m = m3d();
         let (report, ..) = mixed_report(&m);
-        let out = apply_policy(
-            &report,
-            &m,
-            &[0.5, 0.5],
-            &[],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        let out = policy(&report, &m, &[0.5, 0.5], &[]);
         assert!(!out.degraded);
         assert_eq!(out.predicted_tier, Tier::TOP);
         assert_eq!(out.confidence, 0.5);
@@ -518,15 +469,7 @@ mod tests {
     fn backup_dictionary_round_trips() {
         let m = m3d();
         let (report, ..) = mixed_report(&m);
-        let out = apply_policy(
-            &report,
-            &m,
-            &[0.97, 0.03],
-            &[],
-            None,
-            &empty_subgraph(),
-            &PolicyConfig::default(),
-        );
+        let out = policy(&report, &m, &[0.97, 0.03], &[]);
         let mut dict = BackupDictionary::new();
         dict.record(42, out.pruned.clone());
         assert_eq!(dict.lookup(42).unwrap(), out.pruned.as_slice());

@@ -164,7 +164,7 @@ fn three_tier_stack_diagnoses_end_to_end() {
         &[0.05, 0.90, 0.05],
         &[],
         None,
-        sub,
+        None,
         &PolicyConfig {
             t_p: 0.8,
             ..PolicyConfig::default()

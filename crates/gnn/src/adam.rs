@@ -31,6 +31,11 @@ impl AdamState {
         }
     }
 
+    /// Fresh states for a layer's weights `w` and bias `b`.
+    pub(crate) fn for_layer(w: &crate::Matrix, b: &[f32]) -> (Self, Self) {
+        (AdamState::new(w.rows() * w.cols()), AdamState::new(b.len()))
+    }
+
     /// One Adam update of `param` with gradient `grad`.
     ///
     /// Subnormal moment estimates are flushed to zero. Once a parameter's

@@ -40,12 +40,6 @@ impl Graph {
         self.n
     }
 
-    /// Number of (undirected) edges as given.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge.
     ///
     /// # Panics
@@ -160,6 +154,14 @@ impl NormAdj {
     pub fn degree(&self, i: usize) -> usize {
         (self.indptr[i + 1] - self.indptr[i]) as usize
     }
+
+    /// The neighbors of node `i` (incl. its self-loop, if built with
+    /// one), ascending and deduplicated. A [`Graph`] with the edges
+    /// `(i, j)` for every listed `j` normalizes, with the same
+    /// `self_loops` flag, to this operator bit for bit.
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        &self.indices[self.indptr[i] as usize..self.indptr[i + 1] as usize]
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +239,27 @@ mod tests {
         let al = g.normalize(true);
         let yl = oracle_spmm(&al, &x);
         assert_eq!(yl.get(0, 0), 5.0);
+    }
+
+    #[test]
+    fn rebuilding_from_neighbor_lists_reproduces_the_operator() {
+        // Duplicate, reversed and self edges in the source graph.
+        let edges = vec![(0, 1), (1, 0), (1, 2), (2, 2), (3, 1), (4, 5), (0, 1)];
+        for self_loops in [true, false] {
+            let a = Graph::from_edges(6, edges.clone()).normalize(self_loops);
+            let mut rebuilt = Graph::new(6);
+            for i in 0..6 {
+                for &j in a.neighbors(i) {
+                    rebuilt.add_edge(i as u32, j);
+                }
+            }
+            let b = rebuilt.normalize(self_loops);
+            let bits = |m: &NormAdj| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                (&b.indptr, &b.indices, bits(&b)),
+                (&a.indptr, &a.indices, bits(&a))
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 mod adam;
 mod explain;
 mod graph;
+mod head;
 mod kernels;
 mod layers;
 mod loss;
@@ -44,6 +45,7 @@ mod workspace;
 pub use adam::AdamState;
 pub use explain::{permutation_significance, stack_features, FeatureSignificance};
 pub use graph::{Graph, NormAdj};
+pub use head::DenseHead;
 #[doc(hidden)]
 pub use kernels::force_simd_mode;
 pub use kernels::{kernel_flops, simd_mode, SimdMode, LANES, SIMD_ENV};

@@ -1,5 +1,5 @@
-//! The GCN model: a stack of graph-convolution layers with ReLU, an
-//! optional mean-pooling step for graph-level tasks, and a dense head —
+//! The GCN model: a stack of graph-convolution layers with ReLU, a
+//! mean ‖ max readout for graph-level tasks, and a [`DenseHead`] —
 //! trained with Adam on softmax cross-entropy.
 //!
 //! This is the model class behind all three of the paper's networks:
@@ -7,14 +7,15 @@
 //! - *Tier-predictor*: `Task::Graph` (mean pool → `[p_top, p_bottom]`),
 //! - *MIV-pinpointer*: `Task::Node` (per-node 2-class logits, masked to
 //!   MIV nodes),
-//! - *Classifier*: a [`GcnModel::transfer`] of the Tier-predictor — frozen
-//!   pretrained GCN trunk plus fresh trainable classification layers
-//!   (network-based deep transfer learning).
+//! - *Classifier*: a [`DenseHead`] trained on the Tier-predictor's
+//!   readouts — the frozen pretrained GCN trunk feeding fresh trainable
+//!   classification layers (network-based deep transfer learning).
 
 use crate::adam::AdamState;
 use crate::graph::NormAdj;
-use crate::layers::{relu_backward, GcnLayer, Linear};
-use crate::loss::{argmax, cross_entropy, cross_entropy_into, softmax_row};
+use crate::head::DenseHead;
+use crate::layers::{relu_backward, GcnLayer};
+use crate::loss::{argmax, cross_entropy, softmax_row};
 use crate::matrix::Matrix;
 use crate::workspace::{Grads, HeadWorkspace, Workspace};
 use rand::rngs::StdRng;
@@ -145,35 +146,61 @@ impl Default for TrainConfig {
     }
 }
 
-struct ParamStates {
-    gcn: Vec<(AdamState, AdamState)>,
-    head: Vec<(AdamState, AdamState)>,
-}
-
-/// The GCN classifier model.
+/// The GCN model.
 pub struct GcnModel {
     task: Task,
-    gcn: Vec<GcnLayer>,
-    head: Vec<Linear>,
-    frozen_gcn: usize,
-    states: ParamStates,
+    pub(crate) gcn: Vec<GcnLayer>,
+    /// Adam state per GCN layer: `(weights, bias)`.
+    states: Vec<(AdamState, AdamState)>,
+    pub(crate) head: DenseHead,
 }
 
+/// One reference pass through the GCN stack and readout.
 struct Forward {
     /// Cached `Â x` per GCN layer.
     ax: Vec<Matrix>,
     /// Cached pre-activations per GCN layer.
     pre: Vec<Matrix>,
-    /// Node features after the GCN stack.
-    hk_rows: usize,
     /// Winning row per feature for the max half of the graph readout.
     max_arg: Vec<usize>,
-    /// Head layer inputs.
-    head_in: Vec<Matrix>,
-    /// Head pre-activations (all but last layer).
-    head_pre: Vec<Matrix>,
-    /// Final logits.
-    logits: Matrix,
+    /// The head's input (see [`GcnModel::readout`]).
+    readout: Matrix,
+}
+
+/// The epoch loop every trainer runs: `cfg.epochs` passes over
+/// `0..n` in one seeded shuffle stream, `step(i)` taking one gradient
+/// step on sample `i` and returning its loss. Returns the mean loss of
+/// each epoch, records each epoch's curve point under `cfg.label`, and
+/// runs inside a `gnn.train` span with its kernel FLOPs counted.
+pub(crate) fn run_epochs(
+    n: usize,
+    cfg: &TrainConfig,
+    mut step: impl FnMut(usize) -> f64,
+) -> Vec<f64> {
+    let _span = m3d_obs::span!("gnn.train");
+    let flops_start = crate::kernels::kernel_flops();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    for epoch in 0..cfg.epochs {
+        let t0 = std::time::Instant::now();
+        order.shuffle(&mut rng);
+        let mut total = 0.0;
+        for &i in &order {
+            total += step(i);
+        }
+        let loss = total / n.max(1) as f64;
+        losses.push(loss);
+        if let Some(label) = &cfg.label {
+            m3d_obs::registry::record_epoch(label, epoch, loss, None, t0.elapsed());
+            m3d_obs::trace!("{label} epoch {epoch}: loss {loss:.6}");
+        }
+    }
+    // Kernel work attributable to this training run (obsctl derives
+    // effective GFLOP/s from this counter over the gnn.train span).
+    let flops = crate::kernels::kernel_flops() - flops_start;
+    m3d_obs::counter!("gnn.kernel.flops.train", flops);
+    losses
 }
 
 impl GcnModel {
@@ -195,46 +222,13 @@ impl GcnModel {
             Task::Graph => 2 * d, // mean ‖ max readout
             Task::Node => d,
         };
-        let head = Self::build_head(
+        let head = DenseHead::new(
             head_in_dim,
             cfg.head_hidden,
             cfg.n_classes,
             cfg.seed ^ 0x5EED,
         );
-        Self::from_parts(cfg.task, gcn, head, 0)
-    }
-
-    fn build_head(d: usize, hidden: Option<usize>, n_classes: usize, seed: u64) -> Vec<Linear> {
-        match hidden {
-            Some(h) => vec![
-                Linear::new(d, h, seed),
-                Linear::new(h, n_classes, seed.wrapping_add(1)),
-            ],
-            None => vec![Linear::new(d, n_classes, seed)],
-        }
-    }
-
-    fn fresh_states(gcn: &[GcnLayer], head: &[Linear]) -> ParamStates {
-        ParamStates {
-            gcn: gcn
-                .iter()
-                .map(|l| {
-                    (
-                        AdamState::new(l.w.rows() * l.w.cols()),
-                        AdamState::new(l.b.len()),
-                    )
-                })
-                .collect(),
-            head: head
-                .iter()
-                .map(|l| {
-                    (
-                        AdamState::new(l.w.rows() * l.w.cols()),
-                        AdamState::new(l.b.len()),
-                    )
-                })
-                .collect(),
-        }
+        Self::from_parts(cfg.task, gcn, head)
     }
 
     /// The task this model was built for.
@@ -242,21 +236,18 @@ impl GcnModel {
         self.task
     }
 
-    /// Number of GCN layers.
-    pub fn gcn_layer_count(&self) -> usize {
-        self.gcn.len()
-    }
-
-    /// Number of currently-frozen GCN layers.
-    pub fn frozen_layer_count(&self) -> usize {
-        self.frozen_gcn
-    }
-
     /// Output class count.
     pub fn n_classes(&self) -> usize {
-        self.head.last().expect("head is non-empty").out_dim()
+        self.head.n_classes()
     }
 
+    /// The dense head the readout feeds.
+    pub fn head(&self) -> &DenseHead {
+        &self.head
+    }
+
+    /// The GCN stack and readout on the allocating layer passes, with the
+    /// caches the reference backward pass needs.
     fn forward(&self, adj: &NormAdj, x: &Matrix) -> Forward {
         let mut ax_cache = Vec::with_capacity(self.gcn.len());
         let mut pre_cache = Vec::with_capacity(self.gcn.len());
@@ -270,9 +261,8 @@ impl GcnModel {
             pre_cache.push(pre);
             h = z;
         }
-        let hk_rows = h.rows();
         let mut max_arg = Vec::new();
-        let mut cur = match self.task {
+        let readout = match self.task {
             Task::Graph => {
                 // Mean ‖ max readout: the mean half captures subgraph
                 // composition, the max half the strongest per-feature
@@ -288,33 +278,26 @@ impl GcnModel {
             }
             Task::Node => h,
         };
-        let mut head_in = Vec::with_capacity(self.head.len());
-        let mut head_pre = Vec::new();
-        let n_head = self.head.len();
-        for (i, layer) in self.head.iter().enumerate() {
-            let mut z = layer.forward(&cur);
-            if i + 1 < n_head {
-                head_pre.push(z.relu_inplace());
-            }
-            // Move (not clone) each layer's input into the cache as its
-            // output takes over as the running activation.
-            head_in.push(std::mem::replace(&mut cur, z));
-        }
         Forward {
             ax: ax_cache,
             pre: pre_cache,
-            hk_rows,
             max_arg,
-            head_in,
-            head_pre,
-            logits: cur,
+            readout,
         }
+    }
+
+    /// The head's input for a graph: the mean ‖ max readout (`1 × 2d`,
+    /// graph task) or the last GCN layer's activations (`N × d`, node
+    /// task). [`GcnModel::head`] maps it to logits exactly as
+    /// [`GcnModel::logits`] does.
+    pub fn readout(&self, adj: &NormAdj, x: &Matrix) -> Matrix {
+        self.forward(adj, x).readout
     }
 
     /// Raw logits for a sample (`1 × C` for graph task, `N × C` for node
     /// task).
     pub fn logits(&self, adj: &NormAdj, x: &Matrix) -> Matrix {
-        self.forward(adj, x).logits
+        self.head.logits(&self.readout(adj, x))
     }
 
     /// Class probabilities for a graph-level sample.
@@ -350,29 +333,19 @@ impl GcnModel {
     /// actually runs) and still used by [`GcnModel::train_sample`].
     fn compute_grads(&self, sample: &GraphSample, class_weights: Option<&[f32]>) -> (f64, Grads) {
         let fwd = self.forward(&sample.adj, &sample.x);
-        let (loss, dlogits) = cross_entropy(&fwd.logits, &sample.targets, class_weights);
-
-        // --- Head backward.
-        let mut head_grads: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(self.head.len());
-        let mut d = dlogits;
-        for i in (0..self.head.len()).rev() {
-            if i + 1 < self.head.len() {
-                relu_backward(&mut d, &fwd.head_pre[i]);
-            }
-            let (dw, db, dx) = self.head[i].backward(&fwd.head_in[i], &d);
-            head_grads.push((dw, db));
-            d = dx;
-        }
-        head_grads.reverse();
+        let head = self.head.forward(fwd.readout.clone());
+        let (loss, dlogits) = cross_entropy(&head.logits, &sample.targets, class_weights);
+        let (head_grads, d) = self.head.backward(&head, dlogits);
 
         // --- Pool backward (graph task): mean half distributes uniformly,
         // max half routes to each feature's winning row.
         let mut dh = match self.task {
             Task::Graph => {
-                let n = fwd.hk_rows.max(1);
+                let hk_rows = fwd.pre[self.gcn.len() - 1].rows();
+                let n = hk_rows.max(1);
                 let dd = d.cols() / 2;
-                let mut m = Matrix::zeros(fwd.hk_rows, dd);
-                for r in 0..fwd.hk_rows {
+                let mut m = Matrix::zeros(hk_rows, dd);
+                for r in 0..hk_rows {
                     for (c, o) in m.row_mut(r).iter_mut().enumerate() {
                         *o = d.get(0, c) / n as f32;
                     }
@@ -415,13 +388,8 @@ impl GcnModel {
     /// Bit-identical to [`GcnModel::compute_grads`] by construction: every
     /// kernel preserves the canonical per-element accumulation order, the
     /// layer-1 aggregation comes from the sample's [`GraphSample::ax1`]
-    /// cache (the same value the reference recomputes), and the backward
-    /// pass stops at the lowest trainable layer: it computes no gradient
-    /// for a frozen layer (which [`GcnModel::apply_grads`] skips) and no
-    /// input gradient for the lowest trainable layer (which nothing
-    /// consumes), so what it skips cannot affect any output. A model
-    /// whose every GCN layer is frozen trains on [`GcnModel::head_pass`]
-    /// alone instead.
+    /// cache (the same value the reference recomputes), and the only work
+    /// skipped is layer 0's input gradient, which nothing consumes.
     fn compute_grads_into(
         &self,
         sample: &GraphSample,
@@ -430,9 +398,8 @@ impl GcnModel {
         out: &mut Grads,
     ) -> f64 {
         let n_gcn = self.gcn.len();
-        let floor = self.frozen_gcn;
         let (head_input, head_ws) = self.trunk_forward_into(sample, ws);
-        let loss = self.head_pass(
+        let loss = self.head.pass(
             head_input,
             &sample.targets,
             class_weights,
@@ -462,15 +429,14 @@ impl GcnModel {
             std::mem::swap(&mut g.dcur, &mut g.dnxt);
         }
 
-        // --- GCN backward, from the top layer down to the lowest
-        // trainable one; only the layers above it need an input gradient.
-        for l in (floor..n_gcn).rev() {
+        // --- GCN backward; layer 0 needs no input gradient.
+        for l in (0..n_gcn).rev() {
             relu_backward(&mut g.dcur, &ws.pre[l]);
             let ax = if l == 0 { sample.ax1() } else { &ws.ax[l] };
             let (gw, gb) = &mut out.gcn[l];
-            let dx = (l > floor).then_some((&mut ws.dax, &mut g.dnxt));
+            let dx = (l > 0).then_some((&mut ws.dax, &mut g.dnxt));
             self.gcn[l].backward_into(&sample.adj, ax, &g.dcur, gw, gb, dx);
-            if l > floor {
+            if l > 0 {
                 std::mem::swap(&mut g.dcur, &mut g.dnxt);
             }
         }
@@ -520,69 +486,12 @@ impl GcnModel {
         (head_input, &mut ws.head)
     }
 
-    /// The dense head's forward pass, loss and backward pass on one
-    /// sample's head input: writes each head layer's `(dW, db)` into
-    /// `grads` and returns the loss. With `input_grad`, `hw.dcur` ends
-    /// up holding the gradient of `input`; without it, head layer 0
-    /// computes no input gradient. Hidden layers fuse the ReLU into the
-    /// matmul epilogue; the last layer's pre-activation is the logits.
-    fn head_pass(
-        &self,
-        input: &Matrix,
-        targets: &[(usize, usize)],
-        class_weights: Option<&[f32]>,
-        hw: &mut HeadWorkspace,
-        grads: &mut [(Matrix, Vec<f32>)],
-        input_grad: bool,
-    ) -> f64 {
-        let n_head = self.head.len();
-        for (i, layer) in self.head.iter().enumerate() {
-            if i + 1 < n_head {
-                let (h_read, h_write) = hw.h.split_at_mut(i);
-                let x = if i == 0 { input } else { &h_read[i - 1] };
-                layer.forward_relu_into(x, &mut hw.pre[i], &mut h_write[0]);
-            } else {
-                let x = if i == 0 { input } else { &hw.h[i - 1] };
-                layer.forward_into(x, &mut hw.pre[i]);
-            }
-        }
-
-        let loss = cross_entropy_into(
-            &hw.pre[n_head - 1],
-            targets,
-            class_weights,
-            &mut hw.dcur,
-            &mut hw.softmax,
-        );
-
-        for i in (0..n_head).rev() {
-            if i + 1 < n_head {
-                relu_backward(&mut hw.dcur, &hw.pre[i]);
-            }
-            let x = if i == 0 { input } else { &hw.h[i - 1] };
-            let (gw, gb) = &mut grads[i];
-            let wants_dx = i > 0 || input_grad;
-            let dx = wants_dx.then_some(&mut hw.dnxt);
-            self.head[i].backward_into(x, &hw.dcur, gw, gb, dx);
-            if wants_dx {
-                std::mem::swap(&mut hw.dcur, &mut hw.dnxt);
-            }
-        }
-        loss
-    }
-
-    /// One Adam step per parameter from one sample's gradients. Frozen
-    /// GCN layers are skipped (their optimizer state stays untouched).
+    /// One Adam step per parameter from one sample's gradients.
     fn apply_grads(&mut self, g: &Grads) {
-        for i in 0..self.head.len() {
-            let (sw, sb) = &mut self.states.head[i];
-            sw.step(self.head[i].w.as_mut_slice(), g.head[i].0.as_slice());
-            sb.step(&mut self.head[i].b, &g.head[i].1);
-        }
-        for i in self.frozen_gcn..self.gcn.len() {
-            let (sw, sb) = &mut self.states.gcn[i];
-            sw.step(self.gcn[i].w.as_mut_slice(), g.gcn[i].0.as_slice());
-            sb.step(&mut self.gcn[i].b, &g.gcn[i].1);
+        self.head.apply_grads(&g.head);
+        for ((layer, (sw, sb)), (gw, gb)) in self.gcn.iter_mut().zip(&mut self.states).zip(&g.gcn) {
+            sw.step(layer.w.as_mut_slice(), gw.as_slice());
+            sb.step(&mut layer.b, gb);
         }
     }
 
@@ -599,66 +508,23 @@ impl GcnModel {
     /// shuffle order and takes one Adam step per sample, on the fused
     /// gradient path.
     ///
-    /// When every GCN layer is frozen (a [`GcnModel::transfer`]), the
-    /// trunk's weights cannot change during the call, so each sample's
-    /// head input is computed once, up front, and each step runs only the
-    /// head: the same bits in the same order as a full pass.
-    ///
     /// Training runs on the caller's thread, so the weights and the loss
     /// curve depend only on the model, `samples` and `cfg` — never on a
     /// thread count (callers run independent models in parallel, e.g.
     /// restarts; see DESIGN.md "Threading model"). The training buffers
     /// live for this call only.
     pub fn train(&mut self, samples: &[GraphSample], cfg: &TrainConfig) -> Vec<f64> {
-        let _span = m3d_obs::span!("gnn.train");
-        let flops_start = crate::kernels::kernel_flops();
-        let (n_gcn, n_head) = (self.gcn.len(), self.head.len());
+        let (n_gcn, n_head) = (self.gcn.len(), self.head.layers.len());
         let mut ws = Workspace::default();
         let mut grads = Grads::default();
         ws.ensure_layers(n_gcn, n_head);
         grads.ensure_layers(n_gcn, n_head);
-        // Computed once per call (frozen weights cannot change within
-        // it) and indexed by sample, not by shuffle position.
-        let frozen_head_inputs: Option<Vec<Matrix>> = (self.frozen_gcn == n_gcn).then(|| {
-            samples
-                .iter()
-                .map(|s| self.trunk_forward_into(s, &mut ws).0.clone())
-                .collect()
-        });
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
         let weights = cfg.class_weights.as_deref();
-        let mut losses = Vec::with_capacity(cfg.epochs);
-        for epoch in 0..cfg.epochs {
-            let t0 = std::time::Instant::now();
-            order.shuffle(&mut rng);
-            let mut total = 0.0;
-            for &i in &order {
-                total += match &frozen_head_inputs {
-                    Some(inputs) => self.head_pass(
-                        &inputs[i],
-                        &samples[i].targets,
-                        weights,
-                        &mut ws.head,
-                        &mut grads.head,
-                        false,
-                    ),
-                    None => self.compute_grads_into(&samples[i], weights, &mut ws, &mut grads),
-                };
-                self.apply_grads(&grads);
-            }
-            let loss = total / samples.len().max(1) as f64;
-            losses.push(loss);
-            if let Some(label) = &cfg.label {
-                m3d_obs::registry::record_epoch(label, epoch, loss, None, t0.elapsed());
-                m3d_obs::trace!("{label} epoch {epoch}: loss {loss:.6}");
-            }
-        }
-        // Kernel work attributable to this training run (obsctl derives
-        // effective GFLOP/s from this counter over the gnn.train span).
-        let flops = crate::kernels::kernel_flops() - flops_start;
-        m3d_obs::counter!("gnn.kernel.flops.train", flops);
-        losses
+        run_epochs(samples.len(), cfg, |i| {
+            let loss = self.compute_grads_into(&samples[i], weights, &mut ws, &mut grads);
+            self.apply_grads(&grads);
+            loss
+        })
     }
 
     /// Fraction of targets predicted correctly over `samples`.
@@ -677,37 +543,17 @@ impl GcnModel {
         correct as f64 / total.max(1) as f64
     }
 
-    /// Network-based transfer: clones the (now frozen) GCN trunk and
-    /// attaches a fresh trainable head with `n_classes` outputs and an
-    /// optional hidden dense layer — the construction of the paper's
-    /// *Classifier*.
-    pub fn transfer(&self, n_classes: usize, head_hidden: Option<usize>, seed: u64) -> GcnModel {
-        let gcn = self.gcn.clone();
-        let d = 2 * gcn.last().expect("non-empty trunk").out_dim(); // mean ‖ max
-        let head = Self::build_head(d, head_hidden, n_classes, seed);
-        let frozen_gcn = gcn.len();
-        Self::from_parts(Task::Graph, gcn, head, frozen_gcn)
-    }
-
-    /// Layer views for serialization.
-    pub(crate) fn layers_for_serialization(&self) -> (&[GcnLayer], &[Linear]) {
-        (&self.gcn, &self.head)
-    }
-
     /// Assembles a model from its layers with fresh optimizer state.
-    pub(crate) fn from_parts(
-        task: Task,
-        gcn: Vec<GcnLayer>,
-        head: Vec<Linear>,
-        frozen_gcn: usize,
-    ) -> Self {
-        let states = Self::fresh_states(&gcn, &head);
+    pub(crate) fn from_parts(task: Task, gcn: Vec<GcnLayer>, head: DenseHead) -> Self {
+        let states = gcn
+            .iter()
+            .map(|l| AdamState::for_layer(&l.w, &l.b))
+            .collect();
         GcnModel {
             task,
             gcn,
-            head,
-            frozen_gcn,
             states,
+            head,
         }
     }
 }
@@ -716,11 +562,10 @@ impl std::fmt::Debug for GcnModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "GcnModel(task={:?}, gcn={:?}, head={:?}, frozen={})",
+            "GcnModel(task={:?}, gcn={:?}, head={:?})",
             self.task,
             self.gcn.iter().map(GcnLayer::out_dim).collect::<Vec<_>>(),
-            self.head.iter().map(Linear::out_dim).collect::<Vec<_>>(),
-            self.frozen_gcn
+            self.head
         )
     }
 }
@@ -829,32 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_freezes_trunk() {
-        let data = toy_dataset(40, 9);
-        let mut base = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-        base.train(
-            &data,
-            &TrainConfig {
-                epochs: 5,
-                ..TrainConfig::default()
-            },
-        );
-        let mut t = base.transfer(2, Some(8), 77);
-        assert_eq!(t.frozen_layer_count(), t.gcn_layer_count());
-        let head_before = t.head.clone();
-        t.train(
-            &data,
-            &TrainConfig {
-                epochs: 3,
-                ..TrainConfig::default()
-            },
-        );
-        // Training moved the fresh head but not the frozen trunk.
-        assert_ne!(t.head, head_before);
-        assert_eq!(t.gcn, base.gcn);
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let data = toy_dataset(20, 12);
         let mk = || {
@@ -870,65 +689,65 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
+    /// `run_epochs` written out apart, as its reference: one seeded shuffle
+    /// stream, `step(i)` per sample, each epoch's loss averaged over `n`.
+    fn reference_epochs(
+        n: usize,
+        cfg: &TrainConfig,
+        mut step: impl FnMut(usize) -> f64,
+    ) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut losses = Vec::new();
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let mut total = 0.0;
+            for &i in &order {
+                total += step(i);
+            }
+            losses.push(total / n as f64);
+        }
+        losses
+    }
+
     #[test]
     fn train_matches_reference_per_sample_path() {
         // `train` must be bitwise identical to stepping the reference
-        // `train_sample` in the same shuffle order: on a fresh model
-        // through the fused gradient pass, on one with its first GCN layer
-        // frozen through the pass that stops above it, and on a
-        // transferred one (fully frozen trunk, hidden ReLU layer in the
-        // head) through the head-only steps over head inputs computed once
-        // per call.
+        // `train_sample` in the reference shuffle order, and
+        // `DenseHead::train` on a trained model's readouts (hidden ReLU
+        // layer included) to stepping the head's reference
+        // forward/backward pass in that order.
         let data = toy_dataset(12, 14);
         let cfg = TrainConfig {
             epochs: 2,
             ..TrainConfig::default()
         };
-        let logits = |m: &GcnModel| -> Vec<Vec<f32>> {
-            data.iter()
-                .map(|s| m.logits(&s.adj, &s.x).as_slice().to_vec())
-                .collect()
-        };
         let fresh = || GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-        let partly_frozen = || {
-            let text = fresh().save_text().replace("frozen 0", "frozen 1");
-            let m = GcnModel::load_text(&text).expect("a valid model");
-            assert_eq!(m.frozen_layer_count(), 1);
-            m
-        };
-        let transferred = || {
-            let mut base = fresh();
-            base.train(&data, &cfg);
-            base.transfer(2, Some(8), 77)
-        };
-        let models: [(&str, &dyn Fn() -> GcnModel); 3] = [
-            ("fresh", &fresh),
-            ("partly frozen", &partly_frozen),
-            ("transferred", &transferred),
-        ];
-        for (name, make) in models {
-            let fused = {
-                let mut m = make();
-                let losses = m.train(&data, &cfg);
-                (losses, logits(&m))
-            };
-            let reference = {
-                let mut m = make();
-                let mut rng = StdRng::seed_from_u64(cfg.seed);
-                let mut order: Vec<usize> = (0..data.len()).collect();
-                let mut losses = Vec::new();
-                for _ in 0..cfg.epochs {
-                    order.shuffle(&mut rng);
-                    let mut total = 0.0;
-                    for &i in &order {
-                        total += m.train_sample(&data[i], None);
-                    }
-                    losses.push(total / data.len() as f64);
-                }
-                (losses, logits(&m))
-            };
-            assert_eq!(fused, reference, "{name} model");
-        }
+        let logits =
+            |m: &GcnModel| -> Vec<Matrix> { data.iter().map(|s| m.logits(&s.adj, &s.x)).collect() };
+        let (mut fused, mut reference) = (fresh(), fresh());
+        let losses = fused.train(&data, &cfg);
+        let ref_losses =
+            reference_epochs(data.len(), &cfg, |i| reference.train_sample(&data[i], None));
+        assert_eq!((losses, logits(&fused)), (ref_losses, logits(&reference)));
+
+        let readouts: Vec<(Matrix, usize)> = data
+            .iter()
+            .map(|s| (fused.readout(&s.adj, &s.x), s.targets[0].1))
+            .collect();
+        let fresh = || DenseHead::new(fused.head().in_dim(), Some(8), 2, 77);
+        let logits =
+            |h: &DenseHead| -> Vec<Matrix> { readouts.iter().map(|(r, _)| h.logits(r)).collect() };
+        let (mut head, mut reference) = (fresh(), fresh());
+        let losses = head.train(&readouts, &cfg);
+        let ref_losses = reference_epochs(readouts.len(), &cfg, |i| {
+            let (input, class) = &readouts[i];
+            let fwd = reference.forward(input.clone());
+            let (loss, dlogits) = cross_entropy(&fwd.logits, &[(0, *class)], None);
+            reference.apply_grads(&reference.backward(&fwd, dlogits).0);
+            loss
+        });
+        assert_eq!((losses, logits(&head)), (ref_losses, logits(&reference)));
     }
 
     #[test]

@@ -72,12 +72,16 @@ impl PrCurve {
     }
 
     /// The paper's `T_P` rule: the minimum threshold whose precision is at
-    /// least `min_precision`. Returns `None` if no threshold achieves it
+    /// least `min_precision`, among thresholds with a Predicted Positive
+    /// (one above every score predicts nothing, so its conventional
+    /// precision of 1.0 reaches no target). Returns `None` if none does
     /// (callers then fall back to reorder-only).
     pub fn min_threshold_for_precision(&self, min_precision: f64) -> Option<f32> {
+        // Exactly the points that predict nothing read precision 1.0 at
+        // recall 0.0 (any True Positive lifts recall above 0).
         self.points
             .iter()
-            .find(|p| p.precision >= min_precision)
+            .find(|p| !(p.precision == 1.0 && p.recall == 0.0) && p.precision >= min_precision)
             .map(|p| p.threshold)
     }
 
@@ -149,13 +153,15 @@ mod tests {
 
     #[test]
     fn impossible_precision_returns_none() {
-        let samples = vec![s(0.9, false), s(0.8, false)];
-        let curve = PrCurve::from_samples(&samples);
-        // The degenerate empty-positive threshold (> max score) yields
-        // precision 1.0 by convention, so ask with every sample wrong and
-        // threshold capped at 1.0 where score 0.9 < 1.0 gives pp=0 → p=1.
-        let t = curve.min_threshold_for_precision(0.99).unwrap();
-        assert!(t > 0.9, "only the empty set is 'precise': {t}");
+        // No sample scores 1.0: the 1.0 point predicts nothing, so its
+        // conventional precision of 1.0 reaches no target.
+        let curve = PrCurve::from_samples(&[s(0.9, false), s(0.8, true), s(0.7, true)]);
+        assert_eq!(curve.points().last().unwrap().precision, 1.0);
+        assert_eq!(curve.min_threshold_for_precision(0.99), None);
+        assert_eq!(curve.min_threshold_for_precision(0.6), Some(0.0));
+        // A score of exactly 1.0 makes the 1.0 point a real one.
+        let curve = PrCurve::from_samples(&[s(1.0, true), s(0.8, false)]);
+        assert_eq!(curve.min_threshold_for_precision(0.99), Some(1.0));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! format is a line-oriented text layout (exact `f32` round-trip via
 //! hex-encoded bits) with no external dependencies.
 
+use crate::head::DenseHead;
 use crate::layers::{GcnLayer, Linear};
 use crate::matrix::Matrix;
 use crate::model::{GcnModel, Task};
@@ -12,7 +13,7 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Errors from [`GcnModel::load_text`].
+/// Errors from [`GcnModel::load_text`] and [`DenseHead::load_text`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadModelError {
     line: usize,
@@ -119,7 +120,8 @@ fn read_stack(
 
 impl GcnModel {
     /// Serializes the model (architecture + parameters, not optimizer
-    /// state) to the `m3d-gnn-model v1` text format.
+    /// state) to the `m3d-gnn-model v1` text format. Its `frozen` line
+    /// always reads `frozen 0`: every GCN layer of a model trains.
     pub fn save_text(&self) -> String {
         let mut s = String::from("m3d-gnn-model v1\n");
         let _ = writeln!(
@@ -130,20 +132,14 @@ impl GcnModel {
                 Task::Node => "node",
             }
         );
-        let _ = writeln!(s, "frozen {}", self.frozen_layer_count());
-        let (gcn, head) = self.layers_for_serialization();
-        let _ = writeln!(s, "gcn {}", gcn.len());
-        for layer in gcn {
+        s.push_str("frozen 0\n");
+        let _ = writeln!(s, "gcn {}", self.gcn.len());
+        for layer in &self.gcn {
             let _ = writeln!(s, "layer {} {}", layer.in_dim(), layer.out_dim());
             write_floats(&mut s, layer.w.as_slice());
             write_floats(&mut s, &layer.b);
         }
-        let _ = writeln!(s, "head {}", head.len());
-        for layer in head {
-            let _ = writeln!(s, "layer {} {}", layer.in_dim(), layer.out_dim());
-            write_floats(&mut s, layer.w.as_slice());
-            write_floats(&mut s, &layer.b);
-        }
+        s.push_str(&self.head.save_text());
         s
     }
 
@@ -152,7 +148,8 @@ impl GcnModel {
     ///
     /// # Errors
     ///
-    /// Returns a [`LoadModelError`] describing the first malformed line.
+    /// Returns a [`LoadModelError`] describing the first malformed line;
+    /// a `frozen` line other than `frozen 0` is one.
     pub fn load_text(text: &str) -> Result<GcnModel, LoadModelError> {
         let lines: Vec<&str> = text.lines().collect();
         let mut cursor = Cursor {
@@ -170,25 +167,65 @@ impl GcnModel {
             _ => return Err(LoadModelError::new(n, "bad task line")),
         };
         let (n, frozen_line) = cursor.next()?;
-        let frozen: usize = frozen_line
-            .strip_prefix("frozen ")
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| LoadModelError::new(n, "bad frozen line"))?;
+        if frozen_line.trim() != "frozen 0" {
+            return Err(LoadModelError::new(n, "bad frozen line"));
+        }
 
         let gcn_raw = read_stack("gcn", &mut cursor)?;
-        let head_raw = read_stack("head", &mut cursor)?;
-        if gcn_raw.is_empty() || head_raw.is_empty() {
+        let head = read_head(&mut cursor)?;
+        if gcn_raw.is_empty() {
             return Err(LoadModelError::new(0, "model needs gcn and head layers"));
         }
         let gcn: Vec<GcnLayer> = gcn_raw
             .into_iter()
             .map(|(w, b)| GcnLayer { w, b })
             .collect();
-        let head: Vec<Linear> = head_raw.into_iter().map(|(w, b)| Linear { w, b }).collect();
-        if frozen > gcn.len() {
-            return Err(LoadModelError::new(0, "frozen count exceeds gcn layers"));
+        Ok(GcnModel::from_parts(task, gcn, head))
+    }
+}
+
+/// Reads a non-empty `head` section whose layer widths chain.
+fn read_head(cursor: &mut Cursor<'_>) -> Result<DenseHead, LoadModelError> {
+    let raw = read_stack("head", cursor)?;
+    if raw.is_empty() || raw.windows(2).any(|w| w[0].0.cols() != w[1].0.rows()) {
+        return Err(LoadModelError::new(
+            0,
+            "head layers are missing or do not chain",
+        ));
+    }
+    Ok(DenseHead::from_layers(
+        raw.into_iter().map(|(w, b)| Linear { w, b }).collect(),
+    ))
+}
+
+impl DenseHead {
+    /// Serializes the head's layers (not optimizer state) as the `head`
+    /// section of the `m3d-gnn-model v1` format: a `head <n>` line, then
+    /// per layer its `layer <in> <out>` line, weights and biases.
+    pub fn save_text(&self) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "head {}", self.layers.len());
+        for layer in &self.layers {
+            let _ = writeln!(s, "layer {} {}", layer.in_dim(), layer.out_dim());
+            write_floats(&mut s, layer.w.as_slice());
+            write_floats(&mut s, &layer.b);
         }
-        Ok(GcnModel::from_parts(task, gcn, head, frozen))
+        s
+    }
+
+    /// Reconstructs a head saved by [`DenseHead::save_text`]. Optimizer
+    /// state starts fresh.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`LoadModelError`] for a malformed section, an empty
+    /// head, or layers whose widths do not chain.
+    pub fn load_text(text: &str) -> Result<DenseHead, LoadModelError> {
+        let lines: Vec<&str> = text.lines().collect();
+        read_head(&mut Cursor {
+            lines: &lines,
+            at: 0,
+        })
     }
 }
 
@@ -227,17 +264,22 @@ mod tests {
             "bit-exact round trip"
         );
         assert_eq!(loaded.task(), Task::Graph);
+        // A model's head section is its head's own text, and loads alone.
+        let head = DenseHead::load_text(&model.head().save_text()).unwrap();
+        assert!(text.ends_with(&head.save_text()));
     }
 
     #[test]
-    fn round_trip_preserves_frozen_and_node_task() {
-        let base = GcnModel::new(&GcnConfig::two_layer(3, Task::Graph));
-        let t = base.transfer(2, Some(8), 5);
-        let loaded = GcnModel::load_text(&t.save_text()).unwrap();
-        assert_eq!(loaded.frozen_layer_count(), t.frozen_layer_count());
-        let node = GcnModel::new(&GcnConfig::two_layer(3, Task::Node));
-        let loaded = GcnModel::load_text(&node.save_text()).unwrap();
-        assert_eq!(loaded.task(), Task::Node);
+    fn round_trip_preserves_node_task_and_requires_frozen_0() {
+        let text = GcnModel::new(&GcnConfig::two_layer(3, Task::Node)).save_text();
+        let loaded = GcnModel::load_text(&text).unwrap();
+        assert_eq!(
+            (loaded.task(), loaded.save_text()),
+            (Task::Node, text.clone())
+        );
+        for frozen in ["frozen 1", "frozen x"] {
+            assert!(GcnModel::load_text(&text.replacen("frozen 0", frozen, 1)).is_err());
+        }
     }
 
     #[test]

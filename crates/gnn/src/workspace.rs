@@ -1,5 +1,6 @@
 //! Training buffers: the memory model behind the allocation-free
-//! gradient steps of [`GcnModel::train`](crate::GcnModel::train).
+//! gradient steps of [`GcnModel::train`](crate::GcnModel::train) and
+//! [`DenseHead::train`](crate::DenseHead::train).
 //!
 //! A [`Workspace`] owns every intermediate a fused forward+backward pass
 //! needs — activations, pre-activations, pooled readouts, ping-pong

@@ -1,7 +1,7 @@
 //! # m3d-serve
 //!
 //! Diagnosis-as-a-service over the `m3d-fault-loc` framework: load
-//! persisted `m3d-artifact/1` artifacts into sealed read-only
+//! persisted `m3d-artifact/2` artifacts into sealed read-only
 //! [`DiagnosisSession`](m3d_fault_loc::DiagnosisSession)s, route NDJSON
 //! diagnosis requests by design, and answer in batches on a shared
 //! [`ExecPool`](m3d_exec::ExecPool) — train once, serve many.

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `train` builds the design deterministically, trains the full
-//! framework, and persists it as an `m3d-artifact/1` file. `requests`
+//! framework, and persists it as an `m3d-artifact/2` file. `requests`
 //! emits an NDJSON request batch for the artifact's design (fresh
 //! injected-fault chips). `run` loads artifacts into sealed sessions and
 //! serves NDJSON over stdin→stdout or TCP. `bench` measures the batched

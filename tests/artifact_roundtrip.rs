@@ -1,4 +1,4 @@
-//! Artifact persistence acceptance: a framework saved to `m3d-artifact/1`
+//! Artifact persistence acceptance: a framework saved to `m3d-artifact/2`
 //! text and loaded back into a sealed [`DiagnosisSession`] must diagnose
 //! bit-identically to the in-process pipeline on every quick evaluation
 //! design, at any thread count; a wrong bench must be refused by

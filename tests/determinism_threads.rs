@@ -5,9 +5,9 @@
 //! thread count. These tests hold the whole stack to that promise: dataset
 //! generation, Tier-predictor / MIV-pinpointer training (both models'
 //! restarts in one dispatch) through [`PipelineBuilder`], the PR-curve
-//! threshold `T_P`, the Classifier trained on the frozen Tier trunk, and
-//! per-case tier predictions must all agree bitwise between a serial run
-//! and 2/4-thread runs.
+//! threshold `T_P`, the Classifier head trained on the Tier trunk's
+//! readouts, and per-case tier predictions must all agree bitwise between
+//! a serial run and 2/4-thread runs.
 
 use m3d_exec::ExecPool;
 use m3d_fault_loc::{
@@ -34,14 +34,10 @@ fn samples_with(ctx: &DesignContext<'_>, threads: usize) -> Vec<Sample> {
     )
 }
 
-fn train_with(ts: &TrainingSet, threads: usize) -> Framework {
-    // This small training set's PR curve reaches 0.6 precision only at
-    // the empty threshold 1.0, where no sample reaches the Classifier. At
-    // 0.5, T_P is 0 and every sample does, so the Classifier's
-    // frozen-trunk training is held to the contract too.
+fn train_with(ts: &TrainingSet, threads: usize, precision_target: f64) -> Framework {
     PipelineBuilder::new()
         .threads(threads)
-        .precision_target(0.5)
+        .precision_target(precision_target)
         .build()
         .train(ts)
         .expect("training set is non-empty")
@@ -55,7 +51,15 @@ fn pipeline_is_thread_count_invariant() {
     let mut ts = TrainingSet::new();
     ts.add(&bench, &samples);
 
-    let reference = train_with(&ts, 1);
+    // This 39-sample set's PR curve reaches 0.6 precision at no threshold
+    // that predicts a positive: at the default 0.99 target, T_P falls back
+    // to 1.0 and no sample reaches the Classifier. At 0.5, T_P is 0 and
+    // every sample does, so its training is held to the contract too.
+    assert_eq!(ts.tier_samples.len(), 39);
+    let fallback = train_with(&ts, 1, 0.99);
+    assert_eq!(fallback.t_p(), 1.0);
+    assert!(fallback.t_p_is_fallback() && fallback.classifier().is_none());
+    let reference = train_with(&ts, 1, 0.5);
     let ref_tier = reference.tier_predictor().save_text();
     let ref_miv = reference.miv_pinpointer().map(|m| m.save_text());
     let ref_classifier = reference.classifier().map(|c| c.save_text());
@@ -65,7 +69,7 @@ fn pipeline_is_thread_count_invariant() {
     );
 
     for threads in [2, 4] {
-        let fw = train_with(&ts, threads);
+        let fw = train_with(&ts, threads, 0.5);
         assert_eq!(
             fw.t_p().to_bits(),
             reference.t_p().to_bits(),

@@ -76,7 +76,7 @@ fn t_p_satisfies_training_precision_rule() {
     // Recompute the PR curve on the training tier samples and verify the
     // framework's T_P achieves the scaled precision target there.
     let tier_samples = m3d_fault_loc::tier_training_set(&tb, &train);
-    let scores = fw.tier_predictor().confidence_scores(&tier_samples);
+    let scores = fw.tier_predictor().scored(&tier_samples).1;
     let curve = PrCurve::from_samples(&scores);
     let at_tp = curve
         .points()
@@ -108,7 +108,7 @@ fn low_confidence_forces_reorder() {
             probs,
             &[],
             None,
-            &s.subgraph,
+            None,
             &PolicyConfig {
                 t_p: fw.t_p().max(0.6),
                 ..PolicyConfig::default()
