@@ -82,6 +82,12 @@ mkdir -p "$SERVE_DIR"
 # One malformed line rides along: the server must answer it with a
 # `rejected` record instead of dropping the stream (never-500).
 echo 'this is not json' >> "$SERVE_DIR/requests.ndjson"
+# So does a never-failing chip (a header-only log): it has no GNN
+# evidence, so the server must answer it `degraded`, with the ATPG
+# report unchanged.
+design=$(head -n 1 "$SERVE_DIR/requests.ndjson" | sed 's/.*"design":"\([^"]*\)".*/\1/')
+echo "{\"id\":\"never-failing\",\"design\":\"$design\",\"log\":\"# m3d-failure-log v1\"}" \
+    >> "$SERVE_DIR/requests.ndjson"
 
 SERVE_REPORT="$SERVE_DIR/serve-report.ndjson"
 SERVE_STREAM="$SERVE_DIR/serve-stream.ndjson"
@@ -108,6 +114,19 @@ for key in degrade_reason t_p_fallback status; do
 done
 if [ "$(grep -c '"status":"rejected"' "$SERVE_DIR/responses.ndjson")" != 1 ]; then
     echo "ci.sh: expected exactly the malformed line to be rejected" >&2
+    exit 1
+fi
+if [ "$(grep -c '"status":"degraded"' "$SERVE_DIR/responses.ndjson")" != 1 ]; then
+    echo "ci.sh: expected exactly the never-failing chip to be degraded" >&2
+    exit 1
+fi
+degraded=$(grep '"status":"degraded"' "$SERVE_DIR/responses.ndjson")
+resolution=$(echo "$degraded" | sed 's/.*"resolution":\([0-9]*\),.*/\1/')
+atpg_resolution=$(echo "$degraded" | sed 's/.*"atpg_resolution":\([0-9]*\),.*/\1/')
+if ! echo "$degraded" | grep -q '"degrade_reason":"empty_subgraph"' \
+    || ! echo "$degraded" | grep -q '"pruned":0,' \
+    || [ "$resolution" != "$atpg_resolution" ]; then
+    echo "ci.sh: the degraded answer must be its ATPG report, as empty_subgraph with nothing pruned: $degraded" >&2
     exit 1
 fi
 # Backend invariance end to end: inference runs the dispatched

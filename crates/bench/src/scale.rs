@@ -113,9 +113,10 @@ impl Scale {
     /// The CI paper-scale smoke: one ≥100k-gate design (netcard-class at
     /// half Table III), observation points capped for tractability, and
     /// sample counts cut to the bone. This is the scale behind
-    /// `BENCH_paper.json` — it exists to exercise and gate the
-    /// partition-and-shard backtrace path at a paper-scale gate count,
-    /// not to approach the paper's sample sizes (use `paper` for that).
+    /// `BENCH_paper.json` — it exists to exercise and gate the bitmap
+    /// back-trace against the reference back-trace at a paper-scale gate
+    /// count, not to approach the paper's sample sizes (use `paper` for
+    /// that).
     pub fn paper_smoke() -> Self {
         Scale {
             name: "paper-smoke",

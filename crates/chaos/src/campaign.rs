@@ -7,8 +7,7 @@ use crate::scenario::{Expectation, Scenario};
 use m3d_diagnosis::AtpgDiagnosis;
 use m3d_exec::ExecPool;
 use m3d_fault_loc::{
-    apply_policy, BacktraceConfig, DesignContext, DiagnosisAudit, Fnv1a, Framework, PolicyAction,
-    PolicyConfig, Sample,
+    BacktraceConfig, DesignContext, Fnv1a, Framework, GnnEvidence, PolicyAction, Sample,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,8 +34,7 @@ pub struct ScenarioOutcome {
     pub label: String,
     /// The scenario's degradation contract.
     pub expectation: Expectation,
-    /// Whether the case surfaced a degradation (framework fallback or
-    /// policy pass-through).
+    /// Whether the framework degraded the case to its ATPG report.
     pub degraded: bool,
     /// The specific [`m3d_fault_loc::DegradeReason`] label attributed in
     /// the scenario's audit record (`None` for a healthy outcome) — every
@@ -138,8 +136,9 @@ impl CampaignReport {
 ///
 /// Log scenarios corrupt the tester log and re-run the *entire*
 /// downstream flow (back-trace, ATPG diagnosis, inference, policy); graph
-/// scenarios corrupt the back-traced subgraph; GNN scenarios feed
-/// corrupted probability vectors straight into the policy.
+/// scenarios corrupt the back-traced subgraph; GNN scenarios hand
+/// corrupted probability vectors to [`Framework::fuse`] in place of
+/// inference.
 pub fn run_scenario(
     ctx: &DesignContext<'_>,
     fw: &Framework,
@@ -149,11 +148,8 @@ pub fn run_scenario(
     compacted: bool,
     rng: &mut StdRng,
 ) -> ScenarioOutcome {
-    let (degrade_reason, outcome) = match scenario {
-        Scenario::Healthy => {
-            let r = fw.process_case(ctx, diag, base);
-            (r.degraded.map(|d| d.as_str().to_string()), r.outcome)
-        }
+    let r = match scenario {
+        Scenario::Healthy => fw.process_case(ctx, diag, base),
         Scenario::Log(chaos) => {
             let log = inject_log(&base.log, chaos, rng);
             let subgraph = ctx.backtrace(&log, compacted, &BacktraceConfig::default());
@@ -163,8 +159,7 @@ pub fn run_scenario(
                 subgraph,
                 truth: base.truth.clone(),
             };
-            let r = fw.process_case(ctx, diag, &sample);
-            (r.degraded.map(|d| d.as_str().to_string()), r.outcome)
+            fw.process_case(ctx, diag, &sample)
         }
         Scenario::Graph(chaos) => {
             let sample = Sample {
@@ -173,86 +168,34 @@ pub fn run_scenario(
                 subgraph: inject_subgraph(&base.subgraph, chaos, rng),
                 truth: base.truth.clone(),
             };
-            let r = fw.process_case(ctx, diag, &sample);
-            (r.degraded.map(|d| d.as_str().to_string()), r.outcome)
+            fw.process_case(ctx, diag, &sample)
         }
         Scenario::Gnn(chaos) => {
-            // This arm bypasses `process_case` (corrupt probabilities are
-            // fed straight into the policy), so the flight-recorder audit
-            // that `process_case` would emit is synthesized here: every
-            // scenario of a campaign leaves an audit record.
-            let span = m3d_obs::SpanGuard::enter_root("chaos.gnn.diagnose");
+            // Corrupt probabilities stand in for inference; `fuse` decides,
+            // audits and records the case like any other.
+            let _span = m3d_obs::SpanGuard::enter_root("chaos.gnn.diagnose");
             let t0 = std::time::Instant::now();
             let report = diag.diagnose(&base.log);
             let t_atpg = t0.elapsed();
-            let tier_probs = chaos.tier_probs();
-            let t1 = std::time::Instant::now();
-            let out = apply_policy(
-                &report,
-                &ctx.bench.m3d,
-                &tier_probs,
-                &chaos.miv_probs(),
-                None,
-                None,
-                &PolicyConfig {
-                    t_p: fw.t_p(),
-                    ..PolicyConfig::default()
-                },
-            );
-            let t_update = t1.elapsed();
-            // The framework maps policy-detected corruption (non-finite
-            // or missing probabilities) to NonFiniteInference; attribute
-            // the synthesized audit the same way.
-            let reason = out
-                .degraded
-                .then_some(m3d_fault_loc::DegradeReason::NonFiniteInference.as_str());
-            let audit = DiagnosisAudit {
-                trace_id: span.trace_id(),
-                design: ctx.bench.name.clone(),
-                log_entries: base.log.entries().len(),
-                log_valid: ctx.validate_log(&base.log, compacted).is_ok(),
-                subgraph_nodes: base.subgraph.len(),
-                subgraph_mivs: base.subgraph.miv_rows.len(),
-                backtrace: base.subgraph.stats,
-                features_finite: !base.subgraph.x.has_non_finite(),
-                feature_mean: 0.0, // probabilities injected; features unused
-                tier_probs: [
-                    tier_probs.first().copied().unwrap_or(0.5),
-                    tier_probs.get(1).copied().unwrap_or(0.5),
-                ],
-                argmax_margin: 0.0,
-                predicted_tier: out.predicted_tier.0,
-                confidence: out.confidence,
-                action: match out.action {
-                    PolicyAction::Pruned => "pruned",
-                    PolicyAction::Reordered => "reordered",
-                },
-                kept_candidates: out.report.resolution(),
-                dropped_candidates: out.pruned.len(),
-                faulty_mivs: out.faulty_mivs.len(),
-                t_p: fw.t_p(),
-                t_p_fallback: fw.t_p_is_fallback(),
-                degrade_reason: reason,
-                t_atpg_ms: t_atpg.as_secs_f64() * 1e3,
-                t_gnn_ms: 0.0,
-                t_update_ms: t_update.as_secs_f64() * 1e3,
+            let gnn = GnnEvidence {
+                tier_probs: &chaos.tier_probs(),
+                miv_probs: &chaos.miv_probs(),
+                readout: None,
+                t_gnn: std::time::Duration::ZERO,
             };
-            if m3d_obs::registry::enabled() {
-                m3d_obs::registry::record_extra(audit);
-            }
-            (reason.map(str::to_string), out)
+            fw.fuse(ctx, &base.log, &base.subgraph, report, t_atpg, gnn)
         }
     };
     ScenarioOutcome {
         label: scenario.label(),
         expectation: scenario.expectation(),
-        degraded: degrade_reason.is_some(),
-        degrade_reason,
-        resolution: outcome.report.resolution(),
-        pruned: outcome.pruned.len(),
-        action_pruned: outcome.action == PolicyAction::Pruned,
-        predicted_tier: outcome.predicted_tier.0,
-        confidence_bits: outcome.confidence.to_bits(),
+        degraded: r.degraded.is_some(),
+        degrade_reason: r.degraded.map(|d| d.as_str().to_string()),
+        resolution: r.outcome.report.resolution(),
+        pruned: r.outcome.pruned.len(),
+        action_pruned: r.outcome.action == PolicyAction::Pruned,
+        predicted_tier: r.outcome.predicted_tier.0,
+        confidence_bits: r.outcome.confidence.to_bits(),
         panic: None,
     }
 }

@@ -170,7 +170,7 @@ fn poison_rows(sub: &Subgraph, frac: f64, value: f32, rng: &mut StdRng) -> Subgr
 }
 
 /// A GNN-inference corruption: the probability vectors a broken model (or
-/// a bit-flipped accelerator) would hand the policy.
+/// a bit-flipped accelerator) would hand the framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GnnChaos {
     /// Tier probabilities are all NaN.

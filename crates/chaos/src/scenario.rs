@@ -6,8 +6,8 @@ use crate::inject::{GnnChaos, GraphChaos, LogChaos};
 /// What a scenario is allowed to do to the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
-    /// The corruption destroys the GNN evidence: the case must surface a
-    /// degradation (framework fallback or policy pass-through).
+    /// The corruption destroys the GNN evidence: the framework must
+    /// degrade the case to its ATPG report.
     MustDegrade,
     /// The corruption may or may not leave usable evidence (partial drops,
     /// truncations); only the no-panic contract applies.
@@ -80,7 +80,7 @@ impl Scenario {
             // subgraph must degrade.
             Scenario::Graph(GraphChaos::OrphanMivRow) => Expectation::MayDegrade,
             Scenario::Graph(_) => Expectation::MustDegrade,
-            // Corrupt probabilities always force the policy fallback.
+            // Corrupt probabilities are never usable evidence.
             Scenario::Gnn(_) => Expectation::MustDegrade,
         }
     }

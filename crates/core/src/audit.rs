@@ -1,8 +1,8 @@
 //! Per-diagnosis audit records: the structured "why" behind one failure
 //! log's verdict.
 //!
-//! [`crate::Framework::process_case`] builds one [`DiagnosisAudit`] per
-//! case and — when metric recording is enabled — registers it with the
+//! [`crate::Framework::fuse`] builds one [`DiagnosisAudit`] per case
+//! and — when metric recording is enabled — registers it with the
 //! m3d-obs registry as an extra record, kept typed and serialized when the
 //! report is written, so every run report carries one
 //! `{"type":"audit",...}` line per diagnosis.
@@ -39,8 +39,9 @@ pub struct DiagnosisAudit {
     /// Mean of the feature matrix (coarse drift fingerprint; 0 when the
     /// subgraph is empty).
     pub feature_mean: f64,
-    /// Tier-predictor output `[p_bottom, p_top]` as fed to the policy
-    /// (the `[0.5, 0.5]` neutral prior on degraded/ablated cases).
+    /// Tier-predictor output `[p_bottom, p_top]` as handed to
+    /// [`crate::Framework::fuse`] (the `[0.5, 0.5]` neutral prior in the
+    /// tier-less ablation; zeros where inference did not run).
     pub tier_probs: [f32; 2],
     /// Argmax margin `|p_top - p_bottom|` of `tier_probs`.
     pub argmax_margin: f32,

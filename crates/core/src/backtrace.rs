@@ -143,11 +143,6 @@ impl Subgraph {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Row index of a node, if present.
-    pub fn row_of(&self, node: HNodeId) -> Option<usize> {
-        self.nodes.binary_search(&node).ok()
-    }
 }
 
 /// Runs back-tracing on a failure log. Pass `chains` iff the log was
@@ -493,7 +488,7 @@ mod tests {
             assert!(!sub.is_empty());
             let node = t.hetero.pin_of(f.site);
             assert!(
-                sub.row_of(node).is_some(),
+                sub.nodes.binary_search(&node).is_ok(),
                 "fault node must survive intersection for {f}"
             );
         }

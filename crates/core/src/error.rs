@@ -3,7 +3,7 @@
 use m3d_gnn::{LoadModelError, ShapeError};
 use std::fmt;
 
-/// Errors from training, persistence, and inference entry points.
+/// Errors from training, persistence, and validation entry points.
 ///
 /// Historically these conditions panicked deep inside the call tree; the
 /// [`Pipeline`](crate::Pipeline) API surfaces them as values instead.
@@ -16,15 +16,9 @@ pub enum Error {
     /// The training set has no graph-level tier samples — nothing for the
     /// Tier-predictor (and everything downstream of it) to learn from.
     EmptyTrainingSet,
-    /// Inference was requested on an empty subgraph (an empty failure log
-    /// back-traces to nothing; there is no graph to run the GCN on).
-    EmptySubgraph,
     /// A matrix was constructed from a buffer whose length does not match
     /// the requested shape.
     Shape(ShapeError),
-    /// GNN inference produced NaN/Inf probabilities — the model output is
-    /// unusable and the caller should fall back to the raw ATPG ranking.
-    NonFiniteInference,
     /// A failure log references observation points, scan positions, or
     /// pattern indices outside the design — `entries` of its entries are
     /// corrupt.
@@ -70,9 +64,6 @@ pub enum Error {
     },
 }
 
-/// The error type of [`Pipeline::train`](crate::Pipeline::train).
-pub type TrainError = Error;
-
 /// The crate-wide result alias: every fallible entry point — training,
 /// artifact save/load, session opening, validation — returns it.
 pub type Result<T> = std::result::Result<T, Error>;
@@ -83,13 +74,7 @@ impl fmt::Display for Error {
             Error::EmptyTrainingSet => {
                 write!(f, "training set has no tier samples")
             }
-            Error::EmptySubgraph => {
-                write!(f, "cannot run inference on an empty subgraph")
-            }
             Error::Shape(e) => write!(f, "{e}"),
-            Error::NonFiniteInference => {
-                write!(f, "GNN inference produced non-finite probabilities")
-            }
             Error::CorruptFailureLog { entries } => {
                 write!(
                     f,
@@ -147,7 +132,6 @@ mod tests {
     #[test]
     fn display_and_source() {
         assert!(Error::EmptyTrainingSet.to_string().contains("tier samples"));
-        assert!(Error::EmptySubgraph.to_string().contains("empty subgraph"));
         let shape: Error = ShapeError {
             rows: 2,
             cols: 2,
@@ -156,8 +140,7 @@ mod tests {
         .into();
         assert!(shape.to_string().contains("buffer length mismatch"));
         assert!(std::error::Error::source(&shape).is_some());
-        assert!(std::error::Error::source(&Error::EmptySubgraph).is_none());
-        assert!(Error::NonFiniteInference.to_string().contains("non-finite"));
+        assert!(std::error::Error::source(&Error::EmptyTrainingSet).is_none());
         let corrupt = Error::CorruptFailureLog { entries: 3 };
         assert!(corrupt.to_string().contains("3 corrupt entries"));
         assert!(std::error::Error::source(&corrupt).is_none());

@@ -12,11 +12,12 @@ use crate::models::{
     miv_training_set, tier_training_set, train_tier_and_miv, MivPinpointer, ModelTrainConfig,
     TierPredictor,
 };
-use crate::policy::{apply_policy, PolicyConfig, PolicyOutcome};
+use crate::policy::{apply_policy, PolicyAction, PolicyConfig, PolicyOutcome};
 use m3d_diagnosis::{AtpgDiagnosis, DiagnosisReport};
 use m3d_exec::ExecPool;
-use m3d_gnn::{GraphSample, PrCurve};
-use m3d_part::Tier;
+use m3d_gnn::{GraphSample, Matrix, PrCurve};
+use m3d_part::{MivId, Tier};
+use m3d_sim::FailureLog;
 use std::time::{Duration, Instant};
 
 /// Framework training configuration.
@@ -73,8 +74,8 @@ impl TrainingSet {
     }
 }
 
-/// Why a case fell back to the unpruned ATPG ranking instead of trusting
-/// the GNN.
+/// Why a chip's GNN evidence was unusable, so that [`Framework::fuse`]
+/// handed back its ATPG report unchanged.
 ///
 /// Each reason maps to a `framework.fallback.<reason>` counter in the
 /// m3d-obs registry (and from there into the run report), so a chaos
@@ -88,7 +89,8 @@ pub enum DegradeReason {
     /// The subgraph's feature matrix contained NaN/Inf values; inference
     /// was skipped rather than propagating poison through the GCN.
     NonFiniteFeatures,
-    /// Inference ran but produced NaN/Inf probabilities (tier or MIV).
+    /// The tier or MIV probabilities were NaN/Inf, or there were no tier
+    /// probabilities.
     NonFiniteInference,
 }
 
@@ -109,6 +111,33 @@ impl DegradeReason {
             DegradeReason::NonFiniteInference => "framework.fallback.non_finite_inference",
         }
     }
+
+    /// Why `subgraph` cannot feed the GCNs, if it cannot.
+    fn of_subgraph(subgraph: &Subgraph) -> Option<DegradeReason> {
+        if subgraph.is_empty() {
+            Some(DegradeReason::EmptySubgraph)
+        } else if subgraph.x.has_non_finite() {
+            Some(DegradeReason::NonFiniteFeatures)
+        } else {
+            None
+        }
+    }
+}
+
+/// One chip's GNN outputs, as [`Framework::fuse`] weighs them against its
+/// ATPG report.
+#[derive(Debug, Clone, Copy)]
+pub struct GnnEvidence<'a> {
+    /// Tier-predictor probabilities `[p_bottom, p_top]`; empty when
+    /// inference did not run.
+    pub tier_probs: &'a [f32],
+    /// MIV-pinpointer probability per MIV row of the subgraph.
+    pub miv_probs: &'a [(MivId, f32)],
+    /// The Tier-predictor's readout of the subgraph, which the Classifier
+    /// decides on (`None`: no prune).
+    pub readout: Option<&'a Matrix>,
+    /// Wall time of inference.
+    pub t_gnn: Duration,
 }
 
 /// Per-case output of the framework.
@@ -119,12 +148,9 @@ pub struct FrameworkResult {
     /// The policy outcome (final report, prunes, action).
     pub outcome: PolicyOutcome,
     /// `Some(reason)` when the GNN evidence was unusable; `None` for a
-    /// healthy case. A degraded case's tier probabilities read `[0.5, 0.5]`
-    /// and its MIV evidence is dropped, which need not leave the ATPG
-    /// ranking as it was: the tie predicts Tier 1, so the policy reorders
-    /// Tier-1 candidates first, and a `T_P ≤ 0.5` opens the prune branch,
-    /// where the Classifier decides on the subgraph's readout (no readout,
-    /// no prune) and, without a Classifier, the case is pruned.
+    /// healthy case. A degraded case's final report is `atpg_report` in
+    /// ATPG order: nothing pruned, no MIV promoted, no tier reorder, with
+    /// predicted tier 0 and confidence 0.
     pub degraded: Option<DegradeReason>,
     /// `true` when the framework's `T_P` threshold is the unreachable-
     /// precision fallback of 1.0 — the pruning rule never fires, so this
@@ -271,27 +297,8 @@ impl Framework {
         }
     }
 
-    /// Predicts the faulty tier of a subgraph: `(tier, confidence)`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EmptySubgraph`] when the subgraph is empty (there is no
-    /// graph to run the GCN on); [`Error::NonFiniteInference`] when the
-    /// model emits NaN/Inf probabilities.
-    pub fn predict_tier(&self, sub: &Subgraph) -> Result<(Tier, f32), Error> {
-        if sub.is_empty() {
-            return Err(Error::EmptySubgraph);
-        }
-        let p = self.tier.predict(sub);
-        if p.iter().any(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteInference);
-        }
-        let t = usize::from(p[1] > p[0]);
-        Ok((Tier(t as u8), p[t]))
-    }
-
-    /// Runs the full per-chip flow: ATPG diagnosis, GNN inference, and the
-    /// policy update.
+    /// Runs the full per-chip flow: ATPG diagnosis, GNN inference, then
+    /// [`Framework::fuse`].
     ///
     /// Each call opens a fresh trace (`framework.diagnose` root span), so
     /// every diagnosis — wherever its worker thread ran — reconstructs
@@ -311,16 +318,16 @@ impl Framework {
     /// [`Sample`] exists. The subgraph must be the back-trace of `log`
     /// (see [`DesignContext::backtrace`]); results are bit-identical to
     /// [`Framework::process_case`] on a sample carrying the same pair.
+    /// The GCNs run only when the subgraph can feed them; [`Framework::fuse`]
+    /// degrades any other chip.
     pub fn process_log(
         &self,
         ctx: &DesignContext<'_>,
         diag: &AtpgDiagnosis<'_, '_>,
-        log: &m3d_sim::FailureLog,
+        log: &FailureLog,
         subgraph: &Subgraph,
     ) -> FrameworkResult {
         let _span = m3d_obs::SpanGuard::enter_root("framework.diagnose");
-        let trace_id = _span.trace_id();
-        let t_case = Instant::now();
         let t0 = Instant::now();
         let atpg_report = diag.diagnose(log);
         let t_atpg = t0.elapsed();
@@ -328,37 +335,22 @@ impl Framework {
         let t1 = Instant::now();
         let inference = m3d_obs::span!("inference");
         let flops_start = m3d_gnn::kernel_flops();
-        let mut degraded: Option<DegradeReason> = None;
-        // One Tier trunk pass per chip feeds both heads. A fallback below
-        // reads [0.5, 0.5]: the policy still reorders toward Tier 1 and,
-        // under a T_P <= 0.5, may prune (see `FrameworkResult::degraded`),
-        // the Classifier deciding on this readout even of poisoned features.
-        let readout =
-            (self.policy.tier_enabled && !subgraph.is_empty()).then(|| self.tier.readout(subgraph));
-        let tier_probs = match &readout {
-            None if !self.policy.tier_enabled => [0.5, 0.5], // ablation, not degradation
-            None => {
-                degraded = Some(DegradeReason::EmptySubgraph);
-                [0.5, 0.5]
-            }
-            Some(_) if subgraph.x.has_non_finite() => {
-                degraded = Some(DegradeReason::NonFiniteFeatures);
-                [0.5, 0.5]
-            }
+        let runnable = DegradeReason::of_subgraph(subgraph).is_none();
+        // One Tier trunk pass per chip feeds both heads.
+        let readout = (runnable && self.policy.tier_enabled).then(|| self.tier.readout(subgraph));
+        let probs;
+        let tier_probs: &[f32] = match &readout {
             Some(r) => {
-                let p = self.tier.predict_readout(r);
-                if p.iter().all(|v| v.is_finite()) {
-                    p
-                } else {
-                    degraded = Some(DegradeReason::NonFiniteInference);
-                    [0.5, 0.5]
-                }
+                probs = self.tier.predict_readout(r);
+                &probs
             }
+            // The tier-less ablation (Table XI) hands the policy a neutral
+            // prior; it is not a degradation.
+            None if runnable => &[0.5, 0.5],
+            None => &[],
         };
-        // MIV inference on a poisoned subgraph would only add more
-        // non-finite probabilities; skip it once the case is degraded.
         let miv_probs = match &self.miv {
-            Some(m) if degraded.is_none() => m.predict(subgraph),
+            Some(m) if runnable => m.predict(subgraph),
             _ => Vec::new(),
         };
         let flops = m3d_gnn::kernel_flops() - flops_start;
@@ -366,32 +358,73 @@ impl Framework {
             m3d_obs::counter!("gnn.kernel.flops.inference", flops);
         }
         drop(inference);
-        let t_gnn = t1.elapsed();
+        let gnn = GnnEvidence {
+            tier_probs,
+            miv_probs: &miv_probs,
+            readout: readout.as_ref(),
+            t_gnn: t1.elapsed(),
+        };
+        self.fuse(ctx, log, subgraph, atpg_report, t_atpg, gnn)
+    }
 
-        let t2 = Instant::now();
-        let outcome = apply_policy(
-            &atpg_report,
-            &ctx.bench.m3d,
-            &tier_probs,
-            &miv_probs,
-            self.classifier.as_ref(),
-            readout.as_ref(),
-            &self.policy,
-        );
-        let t_update = t2.elapsed();
-
-        // The policy can detect corruption the framework did not (e.g.
-        // non-finite MIV probabilities from a half-poisoned model).
-        if degraded.is_none() && outcome.degraded {
-            degraded = Some(DegradeReason::NonFiniteInference);
-        }
-        if let Some(reason) = degraded {
-            m3d_obs::counter!(reason.counter_name(), 1);
-            m3d_obs::warn!(
-                "framework: case degraded to unpruned ATPG ranking ({})",
-                reason.as_str()
-            );
-        }
+    /// Fuses one chip's ATPG report with its GNN outputs: decides whether
+    /// the evidence is usable, runs the pruning/reordering policy on it,
+    /// and records the chip's [`DiagnosisAudit`] and SLO telemetry.
+    ///
+    /// The evidence is usable when `subgraph` is non-empty with finite
+    /// features, `gnn.tier_probs` is non-empty, and every tier and MIV
+    /// probability is finite. Otherwise the chip is degraded
+    /// ([`FrameworkResult::degraded`]) and its final report is
+    /// `atpg_report` unchanged.
+    ///
+    /// Call it inside the chip's root span: the audit carries that span's
+    /// trace id.
+    pub fn fuse(
+        &self,
+        ctx: &DesignContext<'_>,
+        log: &FailureLog,
+        subgraph: &Subgraph,
+        atpg_report: DiagnosisReport,
+        t_atpg: Duration,
+        gnn: GnnEvidence<'_>,
+    ) -> FrameworkResult {
+        let start = Instant::now();
+        let probs_usable = !gnn.tier_probs.is_empty()
+            && gnn
+                .tier_probs
+                .iter()
+                .chain(gnn.miv_probs.iter().map(|(_, p)| p))
+                .all(|p| p.is_finite());
+        let degraded = DegradeReason::of_subgraph(subgraph)
+            .or((!probs_usable).then_some(DegradeReason::NonFiniteInference));
+        let outcome = match degraded {
+            None => apply_policy(
+                &atpg_report,
+                &ctx.bench.m3d,
+                gnn.tier_probs,
+                gnn.miv_probs,
+                self.classifier.as_ref(),
+                gnn.readout,
+                &self.policy,
+            ),
+            Some(reason) => {
+                m3d_obs::counter!(reason.counter_name(), 1);
+                m3d_obs::warn!(
+                    "framework: case degraded to unpruned ATPG ranking ({})",
+                    reason.as_str()
+                );
+                PolicyOutcome {
+                    report: atpg_report.clone(),
+                    pruned: Vec::new(),
+                    action: PolicyAction::Reordered,
+                    predicted_tier: Tier(0),
+                    confidence: 0.0,
+                    faulty_mivs: Vec::new(),
+                    degraded: true,
+                }
+            }
+        };
+        let t_update = start.elapsed();
 
         // Tester logs only carry channel/position entries when they went
         // through the response compactor; validate in the matching mode.
@@ -399,23 +432,24 @@ impl Framework {
             .entries()
             .iter()
             .any(|e| matches!(e.obs, m3d_sim::FailObs::Channel { .. }));
+        let tier_probs = [0, 1].map(|i| gnn.tier_probs.get(i).copied().unwrap_or(0.0));
         let audit = DiagnosisAudit {
-            trace_id,
+            trace_id: m3d_obs::TraceCtx::current().trace_id,
             design: ctx.bench.name.clone(),
             log_entries: log.entries().len(),
             log_valid: ctx.validate_log(log, compacted).is_ok(),
             subgraph_nodes: subgraph.len(),
             subgraph_mivs: subgraph.miv_rows.len(),
             backtrace: subgraph.stats,
-            features_finite: !subgraph.x.has_non_finite(),
+            features_finite: degraded != Some(DegradeReason::NonFiniteFeatures),
             feature_mean: feature_mean(&subgraph.x),
             tier_probs,
             argmax_margin: (tier_probs[1] - tier_probs[0]).abs(),
             predicted_tier: outcome.predicted_tier.0,
             confidence: outcome.confidence,
             action: match outcome.action {
-                crate::policy::PolicyAction::Pruned => "pruned",
-                crate::policy::PolicyAction::Reordered => "reordered",
+                PolicyAction::Pruned => "pruned",
+                PolicyAction::Reordered => "reordered",
             },
             kept_candidates: outcome.report.resolution(),
             dropped_candidates: outcome.pruned.len(),
@@ -424,14 +458,14 @@ impl Framework {
             t_p_fallback: self.t_p_fallback,
             degrade_reason: degraded.map(DegradeReason::as_str),
             t_atpg_ms: t_atpg.as_secs_f64() * 1e3,
-            t_gnn_ms: t_gnn.as_secs_f64() * 1e3,
+            t_gnn_ms: gnn.t_gnn.as_secs_f64() * 1e3,
             t_update_ms: t_update.as_secs_f64() * 1e3,
         };
         // The audit's copy and the per-design SLO keys cost allocations,
         // so the disabled path (obs-overhead budget) skips them entirely.
         if m3d_obs::registry::enabled() {
             m3d_obs::registry::record_extra(audit.clone());
-            record_slo(&audit, t_case.elapsed());
+            record_slo(&audit, t_atpg + gnn.t_gnn + start.elapsed());
         }
 
         FrameworkResult {
@@ -440,7 +474,7 @@ impl Framework {
             degraded,
             t_p_fallback: self.t_p_fallback,
             t_atpg,
-            t_gnn,
+            t_gnn: gnn.t_gnn,
             t_update,
             audit,
         }
@@ -449,7 +483,7 @@ impl Framework {
 
 /// Mean of a feature matrix (0 for an empty one) — a coarse drift
 /// fingerprint for the audit record.
-fn feature_mean(x: &m3d_gnn::Matrix) -> f64 {
+fn feature_mean(x: &Matrix) -> f64 {
     let (rows, cols) = (x.rows(), x.cols());
     if rows == 0 || cols == 0 {
         return 0.0;
@@ -536,11 +570,54 @@ mod tests {
         );
     }
 
+    /// Diagnoses an empty and a NaN-feature copy of each chip: every one
+    /// degrades with its reason and gets its ATPG report back unchanged.
+    fn assert_corrupt_chips_get_atpg_reports(
+        fw: &Framework,
+        ctx: &DesignContext<'_>,
+        chips: &[Sample],
+    ) {
+        let diag = AtpgDiagnosis::new(&ctx.fsim, None, DiagnosisConfig::default());
+        for chip in chips {
+            let mut poisoned = chip.clone();
+            assert!(
+                !poisoned.subgraph.is_empty(),
+                "need a non-empty subgraph to poison"
+            );
+            poisoned.subgraph.x.set(0, 0, f32::NAN);
+            let mut empty = chip.clone();
+            empty.subgraph = Subgraph {
+                nodes: vec![],
+                adj: m3d_gnn::Graph::new(0).normalize(true),
+                x: Matrix::zeros(0, crate::features::N_FEATURES),
+                miv_rows: vec![],
+                stats: Default::default(),
+            };
+            for (case, reason) in [
+                (&poisoned, DegradeReason::NonFiniteFeatures),
+                (&empty, DegradeReason::EmptySubgraph),
+            ] {
+                let r = fw.process_case(ctx, &diag, case);
+                assert_eq!(r.degraded, Some(reason));
+                assert!(
+                    r.outcome.pruned.is_empty(),
+                    "degraded case pruned {} candidates",
+                    r.outcome.pruned.len()
+                );
+                assert_eq!(
+                    r.outcome.report, r.atpg_report,
+                    "{reason:?}: ATPG order changed"
+                );
+                assert_eq!(
+                    (r.outcome.predicted_tier, r.outcome.confidence),
+                    (Tier(0), 0.0)
+                );
+            }
+        }
+    }
+
     #[test]
     fn corrupt_subgraphs_degrade_instead_of_panicking() {
-        use crate::features::N_FEATURES;
-        use m3d_gnn::{Graph, Matrix};
-
         let tb = quick();
         let ctx = DesignContext::new(&tb);
         let train = generate_samples(&ctx, &DatasetConfig::single(30, 5));
@@ -548,40 +625,32 @@ mod tests {
         ts.add(&tb, &train);
         let fw = Framework::try_train(&ts, &FrameworkConfig::default(), &ExecPool::default())
             .expect("non-empty training set");
-        let diag = AtpgDiagnosis::new(&ctx.fsim, None, DiagnosisConfig::default());
+        assert_corrupt_chips_get_atpg_reports(&fw, &ctx, &train[..1]);
+    }
 
-        // NaN feature matrix: inference skipped, case counted as fallback,
-        // and no candidate is ever lost (report + backup = ATPG list).
-        let mut poisoned = train[0].clone();
-        let n = poisoned.subgraph.x.rows();
-        assert!(n > 0, "need a non-empty subgraph to poison");
-        poisoned.subgraph.x.set(0, 0, f32::NAN);
-        let r = fw.process_case(&ctx, &diag, &poisoned);
-        assert_eq!(r.degraded, Some(DegradeReason::NonFiniteFeatures));
-        assert_eq!(
-            r.outcome.report.resolution() + r.outcome.pruned.len(),
-            r.atpg_report.resolution()
+    /// `T_P = 0` without a Classifier prunes every chip whose evidence
+    /// reaches the policy, so a degraded chip that reached it would lose
+    /// candidates to the backup dictionary.
+    #[test]
+    fn degraded_chips_get_their_atpg_report_back() {
+        let tb = quick();
+        let ctx = DesignContext::new(&tb);
+        let train = generate_samples(&ctx, &DatasetConfig::single(30, 5));
+        let mut ts = TrainingSet::new();
+        ts.add(&tb, &train);
+        let trained = Framework::try_train(&ts, &FrameworkConfig::default(), &ExecPool::default())
+            .expect("non-empty training set");
+        let fw = Framework::from_parts(
+            trained.tier,
+            trained.miv,
+            None,
+            PolicyConfig {
+                t_p: 0.0,
+                ..trained.policy
+            },
+            false,
         );
-
-        // Zero-node subgraph: same guarantee under the EmptySubgraph reason.
-        let mut empty = train[0].clone();
-        empty.subgraph = crate::backtrace::Subgraph {
-            nodes: vec![],
-            adj: Graph::new(0).normalize(true),
-            x: Matrix::zeros(0, N_FEATURES),
-            miv_rows: vec![],
-            stats: Default::default(),
-        };
-        let r = fw.process_case(&ctx, &diag, &empty);
-        assert_eq!(r.degraded, Some(DegradeReason::EmptySubgraph));
-        assert_eq!(
-            r.outcome.report.resolution() + r.outcome.pruned.len(),
-            r.atpg_report.resolution()
-        );
-        assert!(
-            fw.predict_tier(&empty.subgraph).is_err(),
-            "direct inference on an empty subgraph must error, not panic"
-        );
+        assert_corrupt_chips_get_atpg_reports(&fw, &ctx, &train);
     }
 
     #[test]

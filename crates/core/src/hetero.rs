@@ -16,7 +16,7 @@
 //! per-node integer sums, which is all the features need.
 
 use m3d_exec::ExecPool;
-use m3d_netlist::{GateId, NetId, Pin, PinRef};
+use m3d_netlist::{NetId, Pin, PinRef};
 use m3d_part::{M3dNetlist, MivId};
 use m3d_sim::{ObsId, ObsPoints};
 use std::sync::Mutex;
@@ -68,9 +68,7 @@ pub struct HeteroGraph {
     /// net). `None` only for pins of portless gates (never occurs after
     /// validation).
     net_of: Vec<Option<NetId>>,
-    /// Directed circuit-level edges (signal-flow direction).
-    edges: Vec<(u32, u32)>,
-    /// CSR forward adjacency.
+    /// CSR forward adjacency (signal-flow direction).
     fwd_ptr: Vec<u32>,
     fwd_idx: Vec<u32>,
     /// CSR reverse adjacency.
@@ -197,11 +195,12 @@ impl HeteroGraph {
 
         let (fwd_ptr, fwd_idx) = build_csr(n_nodes, edges.iter().copied());
         let (rev_ptr, rev_idx) = build_csr(n_nodes, edges.iter().map(|&(a, b)| (b, a)));
+        // The CSRs hold every edge; free the list before the cone walks.
+        drop(edges);
 
         let mut graph = HeteroGraph {
             kinds,
             net_of,
-            edges,
             fwd_ptr,
             fwd_idx,
             rev_ptr,
@@ -311,11 +310,6 @@ impl HeteroGraph {
         HNodeId(self.pin_total + m.0)
     }
 
-    /// Directed circuit-level edges.
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
-    }
-
     /// Forward (driver → load) neighbors of `n`.
     pub fn successors(&self, n: HNodeId) -> &[u32] {
         let i = n.index();
@@ -366,14 +360,6 @@ impl HeteroGraph {
     /// The longest Topedge (BFS distance) over every cone.
     pub(crate) fn max_topedge_dist(&self) -> u16 {
         self.max_topedge_dist
-    }
-
-    /// The gate owning a pin node (`None` for MIV nodes).
-    pub fn gate_of(&self, n: HNodeId) -> Option<GateId> {
-        match self.kind(n) {
-            HNodeKind::Pin(p) => Some(p.gate),
-            HNodeKind::Miv(_) => None,
-        }
     }
 }
 
@@ -599,16 +585,17 @@ mod tests {
         let m3d = small_m3d();
         let obs = ObsPoints::collect(m3d.netlist());
         let h = HeteroGraph::build(&m3d, &obs);
-        let mut fwd = vec![0usize; h.node_count()];
-        let mut rev = vec![0usize; h.node_count()];
-        for &(a, b) in h.edges() {
-            fwd[a as usize] += 1;
-            rev[b as usize] += 1;
+        // The forward and reverse CSRs are transposes of each other.
+        let mut fwd = Vec::new();
+        let mut rev = Vec::new();
+        for i in 0..h.node_count() as u32 {
+            let n = HNodeId(i);
+            fwd.extend(h.successors(n).iter().map(|&s| (i, s)));
+            rev.extend(h.predecessors(n).iter().map(|&p| (p, i)));
         }
-        for i in 0..h.node_count() {
-            let (din, dout) = h.degrees(HNodeId(i as u32));
-            assert_eq!(din, rev[i]);
-            assert_eq!(dout, fwd[i]);
-        }
+        fwd.sort_unstable();
+        rev.sort_unstable();
+        assert!(!fwd.is_empty());
+        assert_eq!(fwd, rev);
     }
 }

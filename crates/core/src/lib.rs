@@ -99,13 +99,15 @@ pub use dataset::{
     Sample,
 };
 pub use design::{DesignConfig, TestBench, TestBenchConfig};
-pub use error::{Error, Result, TrainError};
+pub use error::{Error, Result};
 pub use features::{
     feature_names, local_degree_feature, FeatureExtractor, F_DTOP_MEAN, F_DTOP_STD,
     F_FANIN_CIRCUIT, F_FANIN_SUB, F_FANOUT_CIRCUIT, F_FANOUT_SUB, F_LOC, F_LVL, F_MIV, F_NMIV_MEAN,
     F_NMIV_STD, F_N_TOP, F_OUT, N_FEATURES,
 };
-pub use framework::{DegradeReason, Framework, FrameworkConfig, FrameworkResult, TrainingSet};
+pub use framework::{
+    DegradeReason, Framework, FrameworkConfig, FrameworkResult, GnnEvidence, TrainingSet,
+};
 pub use hetero::{HNodeId, HNodeKind, HeteroGraph};
 pub use metrics::{improvement_pct, pfa_time_saved, single_tier_of, TierLocalization};
 pub use models::{

@@ -16,7 +16,7 @@
 use crate::artifact::{design_fingerprint, Artifact};
 use crate::dataset::{generate_samples_with_pool, DatasetConfig, DesignContext, Sample};
 use crate::design::{TestBench, TestBenchConfig};
-use crate::error::{Error, TrainError};
+use crate::error::Error;
 use crate::framework::{Framework, FrameworkConfig, TrainingSet};
 use crate::models::ModelTrainConfig;
 use crate::session::DiagnosisSession;
@@ -106,8 +106,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// [`TrainError::EmptyTrainingSet`] when `ts.tier_samples` is empty.
-    pub fn train(&self, ts: &TrainingSet) -> Result<Framework, TrainError> {
+    /// [`Error::EmptyTrainingSet`] when `ts.tier_samples` is empty.
+    pub fn train(&self, ts: &TrainingSet) -> crate::Result<Framework> {
         Framework::try_train(ts, &self.cfg, &self.pool)
     }
 

@@ -2,8 +2,8 @@
 //! the training [`Pipeline`](crate::Pipeline).
 //!
 //! A session owns a trained [`Framework`] and the per-design diagnosis
-//! state (fault simulator, heterogeneous graph, cone memo) and exposes
-//! exactly one capability: turning tester failure logs into
+//! state (fault simulator, heterogeneous graph and its cone store) and
+//! exposes exactly one capability: turning tester failure logs into
 //! [`FrameworkResult`]s. There is no way to retrain, mutate weights, or
 //! swap the design through a session — artifacts stay trustworthy in
 //! long-lived servers.

@@ -63,11 +63,6 @@ impl<'a, 'b> AtpgDiagnosis<'a, 'b> {
         AtpgDiagnosis { fsim, chains, cfg }
     }
 
-    /// The simulator this engine diagnoses against.
-    pub fn fault_simulator(&self) -> &'b FaultSimulator<'a> {
-        self.fsim
-    }
-
     /// Whether this engine operates on compacted failure logs.
     pub fn compacted(&self) -> bool {
         self.chains.is_some()

@@ -241,11 +241,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Reshapes `self` to `rows × cols` with every element zeroed, keeping
     /// the backing allocation. This is the destination-preparation step of
     /// every `*_into` kernel: once a buffer has grown to its steady-state
@@ -255,14 +250,6 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Copies `src` into `self`, reusing the existing allocation.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
     }
 
     /// `self @ other` written into `out`, dispatched on `M3D_SIMD` (per
@@ -387,19 +374,6 @@ impl Matrix {
             self.cols,
             other.rows,
         );
-    }
-
-    /// `selfᵀ` written into `out`.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset(self.cols, self.rows);
-        for i in 0..self.rows {
-            for (j, &v) in self.data[i * self.cols..(i + 1) * self.cols]
-                .iter()
-                .enumerate()
-            {
-                out.data[j * self.rows + i] = v;
-            }
-        }
     }
 
     /// ReLU of `self` written into `out` (allocation-free twin of
@@ -575,7 +549,7 @@ mod tests {
         assert_eq!(a, b);
         let bound = (6.0f32 / 12.0).sqrt();
         assert!(a.as_slice().iter().all(|v| v.abs() <= bound));
-        assert!(a.norm() > 0.0);
+        assert!(a.as_slice().iter().any(|&v| v != 0.0));
     }
 
     #[test]
@@ -729,17 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_into_roundtrip() {
-        let a = Matrix::xavier(5, 3, 11);
-        let (mut t, mut tt) = (Matrix::default(), Matrix::default());
-        a.transpose_into(&mut t);
-        assert_eq!((t.rows(), t.cols()), (3, 5));
-        assert_eq!(t.get(2, 4), a.get(4, 2));
-        t.transpose_into(&mut tt);
-        assert_eq!(tt, a);
-    }
-
-    #[test]
     fn relu_into_matches_relu_inplace() {
         let src = m(1, 4, &[-1., 2., -3., 4.]);
         let mut dst = Matrix::default();
@@ -775,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_copy_from_keep_capacity() {
+    fn reset_keeps_capacity() {
         let mut a = Matrix::zeros(10, 10);
         let cap = {
             a.reset(3, 2);
@@ -785,9 +748,5 @@ mod tests {
         };
         a.reset(10, 10);
         assert_eq!(a.data.capacity(), cap, "reset must not reallocate");
-        let src = Matrix::xavier(4, 2, 13);
-        a.copy_from(&src);
-        assert_eq!(a, src);
-        assert_eq!(a.data.capacity(), cap, "copy_from must not reallocate");
     }
 }

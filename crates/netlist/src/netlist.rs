@@ -355,19 +355,6 @@ impl Netlist {
         Ok(())
     }
 
-    /// Converts every plain [`CellKind::Dff`] into a [`CellKind::ScanDff`]
-    /// (full-scan DfT insertion). Returns the number of flops converted.
-    pub fn make_full_scan(&mut self) -> usize {
-        let mut n = 0;
-        for g in &mut self.gates {
-            if g.kind == CellKind::Dff {
-                g.kind = CellKind::ScanDff;
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Inserts a buffer after `net`: all existing loads of `net` are moved
     /// to the buffer's output net. Returns `(buffer gate, new net)`.
     ///
@@ -608,18 +595,6 @@ mod tests {
         assert_eq!(nl.net(a).fanout(), 1); // only the buffer now
         assert_eq!(nl.net(newnet).fanout(), 2);
         nl.validate().unwrap();
-    }
-
-    #[test]
-    fn make_full_scan_converts_dffs() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let (ff, q) = nl.add_flop(false);
-        nl.connect_flop_d(ff, a).unwrap();
-        nl.add_output(q);
-        assert_eq!(nl.make_full_scan(), 1);
-        assert_eq!(nl.gate(ff).kind, CellKind::ScanDff);
-        assert_eq!(nl.make_full_scan(), 0);
     }
 
     #[test]

@@ -210,11 +210,6 @@ impl M3dNetlist {
             area_per_tier: self.partition.area_histogram(&self.netlist),
         }
     }
-
-    /// Decomposes into `(netlist, partition)`.
-    pub fn into_parts(self) -> (Netlist, TierPartition) {
-        (self.netlist, self.partition)
-    }
 }
 
 #[cfg(test)]

@@ -75,15 +75,6 @@ impl TierPartition {
         self.tiers[g.index()] = t;
     }
 
-    /// Extends the assignment to cover gates appended to the netlist after
-    /// partitioning (e.g. DfT insertion); new gates go to `tier`.
-    pub fn extend_to(&mut self, gate_count: usize, tier: Tier) {
-        assert!(tier.index() < self.n_tiers);
-        while self.tiers.len() < gate_count {
-            self.tiers.push(tier);
-        }
-    }
-
     /// Gate count per tier.
     pub fn gate_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.n_tiers];
@@ -167,14 +158,6 @@ mod tests {
     #[should_panic(expected = "tier index out of range")]
     fn new_rejects_out_of_range() {
         TierPartition::new(vec![Tier(2)], 2);
-    }
-
-    #[test]
-    fn extend_to_covers_new_gates() {
-        let mut p = TierPartition::new(vec![Tier(0); 4], 2);
-        p.extend_to(7, Tier::BOTTOM);
-        assert_eq!(p.as_slice().len(), 7);
-        assert_eq!(p.tier_of(GateId(6)), Tier::BOTTOM);
     }
 
     #[test]

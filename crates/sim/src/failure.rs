@@ -113,14 +113,6 @@ impl FailureLog {
         self.entries.is_empty()
     }
 
-    /// Unique failing pattern indices, ascending.
-    pub fn failing_patterns(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.entries.iter().map(|e| e.pattern).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// The observation points that could have produced `entry`: the single
     /// point in bypass mode, or every flop whose chain feeds the failing
     /// channel at the failing position (the compaction ambiguity set the
@@ -218,7 +210,7 @@ mod tests {
         let d = fsim.simulate(&[f]);
         let log = FailureLog::uncompacted(&d);
         assert_eq!(log.len(), d.len());
-        assert!(!log.failing_patterns().is_empty());
+        assert!(!log.is_empty());
     }
 
     #[test]
