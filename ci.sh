@@ -66,11 +66,12 @@ echo "== steady-state zero-allocation gate (m3d-gnn alloc-profile) =="
 cargo test -q -p m3d-gnn --features alloc-profile --test alloc_steady_state
 
 echo "== microbench smoke (M3D_BENCH_SMOKE=1, one sample per bench) =="
-# Proves the kernel/backtrace/fault-simulation bench binaries stay
-# runnable; timing is not inspected here.
+# Proves the kernel/backtrace/fault-simulation/partition bench binaries
+# stay runnable; timing is not inspected here.
 M3D_BENCH_SMOKE=1 cargo bench -q -p m3d-gnn --bench kernels
 M3D_BENCH_SMOKE=1 cargo bench -q -p m3d-fault-loc --bench backtrace
 M3D_BENCH_SMOKE=1 cargo bench -q -p m3d-sim --bench fsim
+M3D_BENCH_SMOKE=1 cargo bench -q -p m3d-part --bench partition
 
 echo "== serve smoke (train once -> m3d-serve batch inference) =="
 SERVE_DIR=target/serve-smoke

@@ -1,13 +1,18 @@
 //! Microbench for the back-tracing hot path: [`DesignContext::backtrace`]
 //! over bypass logs (one cone row per entry) and compacted logs (the cone
-//! rows of a channel's whole ambiguity set ORed per entry).
+//! rows of a channel's whole ambiguity set ORed per entry). The
+//! `hetero_build` group times what the cone store costs to make:
+//! [`HeteroGraph::build`] (graph plus one cone walk per observer) on the
+//! quick aes design and on the netcard-like netlist at scale 0.05.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use m3d_fault_loc::{
-    generate_samples, BacktraceConfig, DatasetConfig, DesignConfig, DesignContext, TestBench,
-    TestBenchConfig,
+    generate_samples, BacktraceConfig, DatasetConfig, DesignConfig, DesignContext, HeteroGraph,
+    TestBench, TestBenchConfig,
 };
-use m3d_netlist::BenchmarkProfile;
+use m3d_netlist::{generate, BenchmarkProfile, SynthesisCorner};
+use m3d_part::{M3dNetlist, MinCutPartitioner, Partitioner};
+use m3d_sim::ObsPoints;
 
 fn bench_backtrace(c: &mut Criterion) {
     let tb = TestBench::build(&TestBenchConfig::quick(
@@ -39,5 +44,25 @@ fn bench_backtrace(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(cones, bench_backtrace);
+fn bench_hetero_build(c: &mut Criterion) {
+    let quick = TestBench::build(&TestBenchConfig::quick(
+        BenchmarkProfile::AesLike,
+        DesignConfig::Syn1,
+    ))
+    .m3d;
+    let nl = generate(&BenchmarkProfile::NetcardLike.config(0.05, SynthesisCorner::Syn1));
+    let part = MinCutPartitioner::default().partition(&nl, 2);
+    let netcard = M3dNetlist::build(nl, part);
+    let mut group = c.benchmark_group("hetero_build");
+    group.sample_size(10);
+    for (name, m3d) in [("aes_quick", &quick), ("netcard_0.05", &netcard)] {
+        let obs = ObsPoints::collect(m3d.netlist());
+        group.bench_function(name, |b| {
+            b.iter(|| HeteroGraph::build(black_box(m3d), &obs).node_count())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(cones, bench_backtrace, bench_hetero_build);
 criterion_main!(cones);

@@ -158,6 +158,7 @@ pub struct DesignContext<'a> {
 impl<'a> DesignContext<'a> {
     /// Prepares simulation, graph, cone store, and features for `bench`.
     pub fn new(bench: &'a TestBench) -> Self {
+        let _span = m3d_obs::span!("context.new");
         let fsim = FaultSimulator::new(bench.netlist(), &bench.patterns);
         let hetero = HeteroGraph::build(&bench.m3d, fsim.obs());
         let features = FeatureExtractor::compute(&bench.m3d, &hetero);

@@ -71,6 +71,7 @@ pub struct FeatureExtractor {
 impl FeatureExtractor {
     /// Computes global features for every node of `hetero`.
     pub fn compute(m3d: &M3dNetlist, hetero: &HeteroGraph) -> Self {
+        let _span = m3d_obs::span!("features.compute");
         let n = hetero.node_count();
         let nl = m3d.netlist();
         let levels = topo::levels(nl);

@@ -180,9 +180,9 @@ pub struct Framework {
 impl Framework {
     /// Trains Tier-predictor and MIV-pinpointer (all restarts of both in
     /// one dispatch on `pool`), derives `T_P` from the Tier-predictor's
-    /// training PR curve, and (optionally) trains the Classifier. One pass
-    /// of the trained Tier-predictor over its samples yields the PR curve,
-    /// the Classifier's gate and its head inputs (the readouts).
+    /// training PR curve, and (optionally) trains the Classifier. The
+    /// readouts of the winning Tier-predictor restart's accuracy pass
+    /// yield the PR curve, the Classifier's gate and its head inputs.
     ///
     /// # Errors
     ///
@@ -203,10 +203,11 @@ impl Framework {
         );
         let miv_samples =
             (!ts.miv_samples.is_empty() && cfg.use_miv).then_some(&ts.miv_samples[..]);
-        let (tier, miv) = train_tier_and_miv(&ts.tier_samples, miv_samples, &cfg.model, pool);
-        let (readouts, scores) = {
+        let (tier, readouts, miv) =
+            train_tier_and_miv(&ts.tier_samples, miv_samples, &cfg.model, pool);
+        let scores = {
             let _span = m3d_obs::span!("framework.score");
-            tier.scored(&ts.tier_samples)
+            tier.scores(&readouts, &ts.tier_samples)
         };
         let curve = PrCurve::from_samples(&scores);
         let (t_p, t_p_fallback) = match curve.min_threshold_for_precision(cfg.precision_target) {

@@ -98,6 +98,7 @@ impl HeteroGraph {
     /// [`HeteroGraph::build`] walking the cones on `pool`; the result is
     /// identical at any thread count.
     pub fn build_with_pool(m3d: &M3dNetlist, obs: &ObsPoints, pool: &ExecPool) -> Self {
+        let _span = m3d_obs::span!("hetero.build");
         let nl = m3d.netlist();
         // --- Pin-node id space.
         let mut pin_offset = Vec::with_capacity(nl.gate_count() + 1);
@@ -217,27 +218,30 @@ impl HeteroGraph {
     }
 
     /// Top level: one reverse BFS per observation point, each writing its
-    /// own cone row in place. Workers share a free list of scratch
-    /// buffers, so at most one per worker is ever allocated.
+    /// own cone row in place. The walks run over a [`WalkGraph`], a
+    /// transient copy of the reverse CSR numbered in reverse-BFS order
+    /// from all observers, so consecutive visits touch nearby memory.
+    /// Workers share a free list of scratch buffers, so at most one per
+    /// worker is ever allocated.
     fn build_cones(&mut self, obs: &ObsPoints, pool: &ExecPool) {
         let words = self.row_words();
         let starts: Vec<u32> = obs
             .iter()
             .map(|(_, p)| self.pin_of(PinRef::input(p.gate, 0)).0)
             .collect();
+        let walk_graph = WalkGraph::new(self, &starts);
         let mut cones = vec![0u64; starts.len() * words];
         let rows: Vec<Mutex<&mut [u64]>> = cones.chunks_mut(words.max(1)).map(Mutex::new).collect();
         let spare: Mutex<Vec<ConeWalk>> = Mutex::new(Vec::new());
-        let graph = &*self;
         pool.map(&rows, |o, row| {
             let mut walk = spare
                 .lock()
                 .expect("cone scratch list poisoned")
                 .pop()
-                .unwrap_or_else(|| ConeWalk::new(graph.node_count()));
+                .unwrap_or_else(|| ConeWalk::new(walk_graph.order.len()));
             walk.run(
-                graph,
-                starts[o],
+                &walk_graph,
+                walk_graph.starts[o],
                 &mut row.lock().expect("cone row poisoned"),
             );
             spare.lock().expect("cone scratch list poisoned").push(walk);
@@ -247,7 +251,8 @@ impl HeteroGraph {
         let mut topedge = vec![TopedgeSums::default(); self.node_count()];
         let mut max_dist = 0u16;
         for walk in spare.into_inner().expect("cone scratch list poisoned") {
-            for (t, w) in topedge.iter_mut().zip(&walk.sums) {
+            for (&node, w) in walk_graph.order.iter().zip(&walk.sums) {
+                let t = &mut topedge[node as usize];
                 t.count += w.count;
                 t.dist += w.dist;
                 t.dist_sq += w.dist_sq;
@@ -363,13 +368,89 @@ impl HeteroGraph {
     }
 }
 
-/// One worker's reverse-BFS scratch. The cone row itself marks visited
-/// nodes, so a walk writes `dist_mivs` only at the nodes it discovers and
-/// never resets anything: it costs its cone, not the graph.
+/// Set on a [`WalkGraph`] entry whose predecessor is an MIV node.
+const MIV_BIT: u32 = 1 << 31;
+
+/// The reverse CSR the cone walks run on, numbered in the order one FIFO
+/// reverse BFS from every observer (seeded in observer order) discovers
+/// the nodes, unreached nodes last by id. Each predecessor list keeps its
+/// original order, so a FIFO walk from one observer discovers the same
+/// node sequence as over [`HeteroGraph::predecessors`], and with it the
+/// same first shortest path to every node. Dropped once the cones are
+/// built.
+struct WalkGraph {
+    /// `order[i]` is the graph id of walk id `i`.
+    order: Vec<u32>,
+    /// Each observer's start node, in walk ids.
+    starts: Vec<u32>,
+    ptr: Vec<u32>,
+    /// Predecessor walk ids, [`MIV_BIT`] set on MIV nodes.
+    idx: Vec<u32>,
+}
+
+impl WalkGraph {
+    fn new(g: &HeteroGraph, starts: &[u32]) -> Self {
+        let n = g.node_count();
+        assert!(n < MIV_BIT as usize, "walk ids need a free top bit");
+        let mut walk_id = vec![u32::MAX; n];
+        let mut order = Vec::with_capacity(n);
+        let mut discover = |v: u32, order: &mut Vec<u32>| {
+            if walk_id[v as usize] == u32::MAX {
+                walk_id[v as usize] = order.len() as u32;
+                order.push(v);
+            }
+        };
+        for &s in starts {
+            discover(s, &mut order);
+        }
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in g.predecessors(HNodeId(u)) {
+                discover(v, &mut order);
+            }
+        }
+        for v in 0..n as u32 {
+            discover(v, &mut order);
+        }
+        let mut ptr = Vec::with_capacity(n + 1);
+        let mut idx = Vec::with_capacity(g.rev_idx.len());
+        ptr.push(0);
+        for &u in &order {
+            idx.extend(g.predecessors(HNodeId(u)).iter().map(|&v| {
+                let miv = if v >= g.pin_total { MIV_BIT } else { 0 };
+                walk_id[v as usize] | miv
+            }));
+            ptr.push(idx.len() as u32);
+        }
+        WalkGraph {
+            starts: starts.iter().map(|&s| walk_id[s as usize]).collect(),
+            order,
+            ptr,
+            idx,
+        }
+    }
+
+    /// The predecessors of walk id `u`.
+    #[inline]
+    fn predecessors(&self, u: u32) -> &[u32] {
+        let i = u as usize;
+        &self.idx[self.ptr[i] as usize..self.ptr[i + 1] as usize]
+    }
+}
+
+/// One worker's reverse-BFS scratch, indexed by walk id. A walk writes
+/// `dist_mivs` only at the nodes it discovers, and its fold clears the
+/// `seen` words it reads: it costs its cone, not the graph.
 struct ConeWalk {
     /// `[distance, MIVs on the first shortest path]` per discovered node.
     dist_mivs: Vec<[u16; 2]>,
-    queue: Vec<u32>,
+    /// The nodes this walk has discovered.
+    seen: Vec<u64>,
+    /// FIFO of discovered nodes with their `[distance, MIVs]`; one slot
+    /// longer than the graph, since every predecessor is written past the
+    /// tail before the tail decides whether to keep it.
+    queue: Vec<(u32, [u16; 2])>,
     sums: Vec<TopedgeSums>,
     max_dist: u16,
 }
@@ -378,37 +459,41 @@ impl ConeWalk {
     fn new(n: usize) -> Self {
         ConeWalk {
             dist_mivs: vec![[0; 2]; n],
-            queue: Vec::new(),
+            seen: vec![0; n.div_ceil(64)],
+            queue: vec![(0, [0, 0]); n + 1],
             sums: vec![TopedgeSums::default(); n],
             max_dist: 0,
         }
     }
 
-    /// FIFO reverse BFS from `start` over [`HeteroGraph::predecessors`] in
-    /// order, marking the cone in `row`. A node's MIV count comes from the
-    /// first shortest path discovered, so the visiting order is part of
-    /// the feature definition; the Topedge fold is not, so it runs
-    /// afterwards in node order, where `sums` is read sequentially.
-    fn run(&mut self, g: &HeteroGraph, start: u32, row: &mut [u64]) {
-        self.queue.clear();
-        self.queue.push(start);
-        self.dist_mivs[start as usize] = [0, 0];
-        row[start as usize / 64] |= 1 << (start % 64);
-        let mut head = 0;
-        while let Some(&u) = self.queue.get(head) {
+    /// FIFO reverse BFS from `start` over [`WalkGraph::predecessors`] in
+    /// order, marking the cone in `row` by graph id. A node's MIV count
+    /// comes from the first shortest path discovered, so the visiting
+    /// order is part of the feature definition; the Topedge fold is not,
+    /// so it runs afterwards in walk-id order, where `sums` is read
+    /// sequentially. The walk loop has no branch on whether a predecessor
+    /// is new: it always writes it past the tail, and the tail moves only
+    /// over new ones.
+    fn run(&mut self, g: &WalkGraph, start: u32, row: &mut [u64]) {
+        let queue = &mut self.queue;
+        queue[0] = (start, [0, 0]);
+        self.seen[start as usize / 64] |= 1 << (start % 64);
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let (u, [d, m]) = queue[head];
             head += 1;
-            let [d, m] = self.dist_mivs[u as usize];
-            for &v in g.predecessors(HNodeId(u)) {
-                let (w, bit) = (v as usize / 64, 1 << (v % 64));
-                if row[w] & bit == 0 {
-                    row[w] |= bit;
-                    self.dist_mivs[v as usize] = [d + 1, m + u16::from(v >= g.pin_total)];
-                    self.queue.push(v);
-                }
+            self.dist_mivs[u as usize] = [d, m];
+            for &e in g.predecessors(u) {
+                let v = e & !MIV_BIT;
+                let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+                let word = self.seen[w];
+                self.seen[w] = word | bit;
+                queue[tail] = (v, [d + 1, m + u16::from(e >= MIV_BIT)]);
+                tail += usize::from(word & bit == 0);
             }
         }
-        for (w, &word) in row.iter().enumerate() {
-            let mut bits = word;
+        for (w, word) in self.seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -421,6 +506,8 @@ impl ConeWalk {
                 s.mivs += m64;
                 s.mivs_sq += m64 * m64;
                 self.max_dist = self.max_dist.max(d);
+                let node = g.order[i] as usize;
+                row[node / 64] |= 1 << (node % 64);
             }
         }
     }
@@ -548,11 +635,48 @@ mod tests {
         assert!(seen_miv_edge, "some cone must contain an MIV");
     }
 
+    /// How many cone memberships have shortest paths to their observer
+    /// with different MIV counts. For those, the MIV count a walk records
+    /// is that of the path it discovers first, so it depends on the
+    /// visiting order.
+    fn order_sensitive_memberships(h: &HeteroGraph, obs: &ObsPoints) -> usize {
+        let n = h.node_count();
+        let mut found = 0;
+        for (id, _) in obs.iter() {
+            let cone = reference_cone(h, obs, id);
+            let mut dist = vec![u16::MAX; n];
+            let (mut lo, mut hi) = (vec![u16::MAX; n], vec![0u16; n]);
+            for &(node, d, _) in &cone {
+                dist[node.index()] = d;
+            }
+            lo[cone[0].0.index()] = 0;
+            // Visiting order is BFS order: each node's bounds are final
+            // before it extends them to its predecessors.
+            for &(u, d, _) in &cone {
+                for &v in h.predecessors(u) {
+                    let v = v as usize;
+                    if dist[v] == d + 1 {
+                        let miv = u16::from(v >= h.pin_count());
+                        lo[v] = lo[v].min(lo[u.index()] + miv);
+                        hi[v] = hi[v].max(hi[u.index()] + miv);
+                    }
+                }
+            }
+            found += cone
+                .iter()
+                .filter(|(v, _, _)| lo[v.index()] != hi[v.index()])
+                .count();
+        }
+        found
+    }
+
     #[test]
     fn cone_store_matches_reference_walk_at_any_thread_count() {
         let m3d = small_m3d();
         let obs = ObsPoints::collect(m3d.netlist());
         let reference = HeteroGraph::build_with_pool(&m3d, &obs, &ExecPool::serial());
+        // Without such a membership, a walk in any order would pass.
+        assert!(order_sensitive_memberships(&reference, &obs) > 0);
         let mut sums = vec![TopedgeSums::default(); reference.node_count()];
         let mut max_dist = 0u16;
         for (id, _) in obs.iter() {

@@ -47,7 +47,8 @@ struct ModelSpec<'a> {
 }
 
 /// Trains every spec's model `cfg.restarts` times and keeps, per spec, the
-/// restart with the best training accuracy.
+/// restart with the best training accuracy, with that restart's readout
+/// of each training sample for a graph task (none for a node task).
 ///
 /// All `specs × restarts` jobs are fully independent, so they run in one
 /// pool dispatch, the first spec's jobs first; each trains start to
@@ -58,7 +59,7 @@ fn best_of_restarts(
     specs: &[ModelSpec<'_>],
     cfg: &ModelTrainConfig,
     pool: &ExecPool,
-) -> Vec<GcnModel> {
+) -> Vec<(GcnModel, Vec<Matrix>)> {
     let restarts = cfg.restarts.max(1);
     let runs = pool.map_indices(specs.len() * restarts, |job| {
         let (spec, r) = (&specs[job / restarts], job % restarts);
@@ -87,16 +88,16 @@ fn best_of_restarts(
                 label: Some(label),
             },
         );
-        let acc = weighted_accuracy(&model, spec.samples, &spec.class_weights);
-        (acc, model)
+        let (acc, readouts) = weighted_accuracy(&model, spec.samples, &spec.class_weights);
+        (acc, (model, readouts))
     });
     let mut runs = runs.into_iter();
     let mut models = Vec::with_capacity(specs.len());
     for _ in specs {
-        let mut best: Option<(f64, GcnModel)> = None;
-        for (acc, model) in runs.by_ref().take(restarts) {
+        let mut best: Option<(f64, (GcnModel, Vec<Matrix>))> = None;
+        for (acc, trained) in runs.by_ref().take(restarts) {
             if best.as_ref().is_none_or(|(b, _)| acc > *b) {
-                best = Some((acc, model));
+                best = Some((acc, trained));
             }
         }
         models.push(best.expect("restarts >= 1").1);
@@ -107,7 +108,8 @@ fn best_of_restarts(
 /// Trains the Tier-predictor and, when `miv_samples` is given, the
 /// MIV-pinpointer: both models' restarts share one dispatch on `pool`.
 /// Each model is the one [`TierPredictor::train`] or
-/// [`MivPinpointer::train`] would return.
+/// [`MivPinpointer::train`] would return. Also returns the
+/// Tier-predictor's readout of each of `tier_samples`.
 ///
 /// # Panics
 ///
@@ -117,23 +119,29 @@ pub(crate) fn train_tier_and_miv(
     miv_samples: Option<&[GraphSample]>,
     cfg: &ModelTrainConfig,
     pool: &ExecPool,
-) -> (TierPredictor, Option<MivPinpointer>) {
+) -> (TierPredictor, Vec<Matrix>, Option<MivPinpointer>) {
     let mut specs = vec![TierPredictor::spec(tier_samples, 2)];
     specs.extend(miv_samples.map(MivPinpointer::spec));
     let mut models = best_of_restarts(&specs, cfg, pool).into_iter();
-    let tier = TierPredictor {
-        model: models.next().expect("one model per spec"),
-    };
-    (tier, models.next().map(|model| MivPinpointer { model }))
+    let (model, readouts) = models.next().expect("one model per spec");
+    let miv = models.next().map(|(model, _)| MivPinpointer { model });
+    (TierPredictor { model }, readouts, miv)
 }
 
 /// Class-weight-adjusted accuracy, so restart selection cannot favour a
-/// majority-class collapse.
-fn weighted_accuracy(model: &GcnModel, samples: &[GraphSample], weights: &[f32]) -> f64 {
+/// majority-class collapse, and for a graph task the readout of each
+/// sample it computed on the way.
+fn weighted_accuracy(
+    model: &GcnModel,
+    samples: &[GraphSample],
+    weights: &[f32],
+) -> (f64, Vec<Matrix>) {
     let mut correct = 0f64;
     let mut total = 0f64;
+    let mut readouts = Vec::new();
     for s in samples {
-        let logits = model.logits(&s.adj, &s.x);
+        let readout = model.readout(&s.adj, &s.x);
+        let logits = model.head().logits(&readout);
         for &(r, c) in &s.targets {
             let w = f64::from(weights.get(c).copied().unwrap_or(1.0));
             total += w;
@@ -141,8 +149,11 @@ fn weighted_accuracy(model: &GcnModel, samples: &[GraphSample], weights: &[f32])
                 correct += w;
             }
         }
+        if model.task() == Task::Graph {
+            readouts.push(readout);
+        }
     }
-    correct / total.max(1e-12)
+    (correct / total.max(1e-12), readouts)
 }
 
 /// Converts samples to Tier-predictor [`GraphSample`]s (skipping MIV
@@ -188,7 +199,7 @@ impl TierPredictor {
         let spec = Self::spec(samples, n_tiers);
         let mut models = best_of_restarts(&[spec], cfg, &ExecPool::default());
         TierPredictor {
-            model: models.pop().expect("one model per spec"),
+            model: models.pop().expect("one model per spec").0,
         }
     }
 
@@ -295,7 +306,13 @@ impl TierPredictor {
             .iter()
             .map(|s| self.model.readout(&s.adj, &s.x))
             .collect();
-        let scores = readouts
+        let scores = self.scores(&readouts, samples);
+        (readouts, scores)
+    }
+
+    /// [`TierPredictor::scored`]'s scores from the samples' readouts.
+    pub(crate) fn scores(&self, readouts: &[Matrix], samples: &[GraphSample]) -> Vec<ScoredSample> {
+        readouts
             .iter()
             .zip(samples)
             .map(|(readout, s)| {
@@ -306,8 +323,7 @@ impl TierPredictor {
                     correct: pred == s.targets[0].1,
                 }
             })
-            .collect();
-        (readouts, scores)
+            .collect()
     }
 
     /// The underlying model (its readouts feed the Classifier).
@@ -332,7 +348,7 @@ impl MivPinpointer {
     pub fn train(samples: &[GraphSample], cfg: &ModelTrainConfig) -> Self {
         let mut models = best_of_restarts(&[Self::spec(samples)], cfg, &ExecPool::default());
         MivPinpointer {
-            model: models.pop().expect("one model per spec"),
+            model: models.pop().expect("one model per spec").0,
         }
     }
 

@@ -104,7 +104,7 @@ impl DenseHead {
     }
 
     /// Raw logits for an input (one row per input row).
-    pub(crate) fn logits(&self, input: &Matrix) -> Matrix {
+    pub fn logits(&self, input: &Matrix) -> Matrix {
         self.forward(input.clone()).logits
     }
 

@@ -108,6 +108,7 @@ impl<'a> FaultSimulator<'a> {
     ///
     /// Panics under the same conditions as [`PatternSim::run`].
     pub fn new(nl: &'a Netlist, pats: &'a PatternSet) -> Self {
+        let _span = m3d_obs::span!("sim.fsim_new");
         let order = topo::topological_order(nl);
         let sim = PatternSim::run_in_order(nl, pats, &order);
         let obs = ObsPoints::collect(nl);
